@@ -14,10 +14,9 @@ Commands
     Print the Table 1 code inventory for this reproduction.
 ``fuzz``
     Run the deterministic protocol-fuzzing harness against the TLS
-    termination path (``--layer tls|http|service``, ``--cases N``,
-    ``--seed S``, ``--driver direct|eventloop`` to pump connections
-    through the async lthreads scheduler). Exit status 1 if any
-    mutation broke the typed-error contract.
+    termination path through the event-loop front end
+    (``--layer tls|http|service``, ``--cases N``, ``--seed S``). Exit
+    status 1 if any mutation broke the typed-error contract.
 ``obs``
     Run a workload through the full TLS + audit pipeline with the
     observability plane installed and print the aggregated span tree and
@@ -129,14 +128,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.faults.fuzz import run_fuzz
 
     layers = args.layer or ["tls", "http", "service"]
-    reports = run_fuzz(
-        seed=args.seed,
-        cases_per_layer=args.cases,
-        layers=layers,
-        driver=args.driver,
-    )
+    reports = run_fuzz(seed=args.seed, cases_per_layer=args.cases, layers=layers)
     for report in reports:
-        print(f"driver={args.driver}")
         print(report.describe())
     return 0 if all(r.ok for r in reports) else 1
 
@@ -366,10 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--layer", action="append",
                       choices=["tls", "http", "service"],
                       help="repeatable; default: all three layers")
-    fuzz.add_argument("--driver", default="direct",
-                      choices=["direct", "eventloop"],
-                      help="pump style: externally-pumped supervisor or "
-                           "the lthreads event loop (default direct)")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     obs = subparsers.add_parser(

@@ -13,8 +13,9 @@ Hashes are stored *separately* from the entries and associated by entry id
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import functools
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import sha256
@@ -54,39 +55,170 @@ class ChainEntry:
     chain_hash: bytes
 
 
-@dataclass(frozen=True)
-class SignedHead:
-    """A signed (chain head, counter value, entry count) anchor."""
+# ----------------------------------------------------------------------
+# Signed records: one typed-field codec for every ECDSA-signed record
+# ----------------------------------------------------------------------
 
-    head_hash: bytes
-    counter_value: int
-    entry_count: int
-    signature: EcdsaSignature
+
+@dataclass(frozen=True)
+class _Codec:
+    """How one field travels: in the signed payload and in the sidecar."""
+
+    pack: Callable[[Any], bytes]  #: signed-payload bytes
+    wire: Callable[[Any], bytes]  #: sidecar bytes (NUL-separated, never NUL)
+    unwire: Callable[[bytes], Any]
+    #: NUL-terminated in the payload, raw in the sidecar: a NUL inside
+    #: the value would let two records share one signed payload.
+    nul_free: bool = False
+
+
+def _unwire_hex(raw: bytes) -> bytes:
+    return bytes.fromhex(raw.decode())
+
+
+def uint_field(width: int) -> Any:
+    """A ``width``-byte big-endian integer (decimal in the sidecar)."""
+
+    def unwire(raw: bytes) -> int:
+        value = int(raw)
+        if not 0 <= value < 1 << (8 * width):
+            raise ValueError(f"{value} does not fit {width} bytes")
+        return value
+
+    return field(metadata={"codec": _Codec(
+        lambda v: v.to_bytes(width, "big"), lambda v: str(v).encode(), unwire
+    )})
+
+
+def text_field() -> Any:
+    """UTF-8 text, NUL-terminated in the payload; NUL is rejected."""
+    return field(metadata={"codec": _Codec(
+        lambda v: v.encode() + b"\x00", str.encode, bytes.decode, nul_free=True
+    )})
+
+
+def tail_text_field() -> Any:
+    """UTF-8 text closing the payload unterminated (hex in the sidecar)."""
+    return field(metadata={"codec": _Codec(
+        str.encode, lambda v: v.encode().hex().encode(),
+        lambda raw: _unwire_hex(raw).decode(),
+    )})
+
+
+def hash_field() -> Any:
+    """A hash: raw in the payload, hex in the sidecar."""
+    return field(metadata={"codec": _Codec(
+        lambda v: v, lambda v: v.hex().encode(), _unwire_hex
+    )})
+
+
+@functools.cache
+def _layout(cls: type) -> tuple[tuple[str, _Codec], ...]:
+    return tuple(
+        (f.name, f.metadata["codec"]) for f in fields(cls) if "codec" in f.metadata
+    )
+
+
+class SignedRecord:
+    """Base of the ECDSA-signed records: typed fields, then ``signature``.
+
+    The signed payload is ``DOMAIN || NUL`` followed by each field's
+    payload bytes in declaration order. Records persisted as write-ahead
+    sidecars also encode as ``MAGIC`` and each field's sidecar bytes,
+    NUL-joined, with the hex signature last; ``SIDECAR`` names the
+    storage slot (see :meth:`~repro.audit.persistence.LogStorage.save_intent`).
+    """
+
+    DOMAIN: ClassVar[bytes]
+    NAME: ClassVar[str]  #: for error messages
+    MAGIC: ClassVar[bytes | None] = None
+    SIDECAR: ClassVar[str | None] = None
+    OWNER: ClassVar[str] = "log_id"  #: field naming the log/plane it belongs to
+
+    def __post_init__(self) -> None:
+        for name, codec in _layout(type(self)):
+            if codec.nul_free and "\x00" in getattr(self, name):
+                raise ValueError(f"{self.NAME}: NUL in text field {name!r}")
 
     def payload(self) -> bytes:
-        return (
-            b"LOG-HEAD\x00"
-            + self.head_hash
-            + self.counter_value.to_bytes(8, "big")
-            + self.entry_count.to_bytes(8, "big")
+        return self.DOMAIN + b"\x00" + b"".join(
+            codec.pack(getattr(self, name)) for name, codec in _layout(type(self))
         )
 
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, head_hash: bytes, counter_value: int, entry_count: int
-    ) -> "SignedHead":
-        unsigned = SignedHead(head_hash, counter_value, entry_count, EcdsaSignature(0, 0))
-        return SignedHead(
-            head_hash, counter_value, entry_count, key.sign(unsigned.payload())
-        )
+    @classmethod
+    def sign(cls, key: EcdsaPrivateKey, *values, **named):
+        unsigned = cls(*values, signature=EcdsaSignature(0, 0), **named)
+        return replace(unsigned, signature=key.sign(unsigned.payload()))
 
     def verify(self, public_key: EcdsaPublicKey) -> None:
         if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("audit log head signature invalid")
+            raise IntegrityError(f"{self.NAME} signature invalid")
+
+    def encode(self) -> bytes:
+        return b"\x00".join([
+            self.MAGIC,
+            *(codec.wire(getattr(self, name)) for name, codec in _layout(type(self))),
+            self.signature.encode().hex().encode(),
+        ])
+
+    @classmethod
+    def decode(cls, blob: bytes):
+        layout = _layout(cls)
+        try:
+            magic, *parts, sig_hex = blob.split(b"\x00")
+            if magic != cls.MAGIC:
+                raise ValueError("bad magic")
+            if len(parts) != len(layout):
+                raise ValueError(f"{len(parts)} fields, expected {len(layout)}")
+            return cls(
+                *(codec.unwire(part) for (_, codec), part in zip(layout, parts)),
+                EcdsaSignature.decode(_unwire_hex(sig_hex)),
+            )
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise IntegrityError(f"{cls.NAME} unparsable: {exc}") from exc
+
+    @classmethod
+    def load_sidecar(
+        cls,
+        storage,
+        public_key: EcdsaPublicKey,
+        owner: str,
+        on_invalid: Callable[[], None] | None = None,
+    ):
+        """The stored write-ahead record, or None if absent, forged,
+        malformed or owned by another log or plane. ``on_invalid`` runs
+        when a stored blob is rejected (each caller's discard policy): a
+        forged or corrupt intent buys the adversary nothing."""
+        blob = storage.load_intent(cls.SIDECAR)
+        if blob is None:
+            return None
+        try:
+            record = cls.decode(blob)
+            record.verify(public_key)
+        except IntegrityError:
+            record = None
+        if record is None or getattr(record, cls.OWNER) != owner:
+            if on_invalid is not None:
+                on_invalid()
+            return None
+        return record
 
 
 @dataclass(frozen=True)
-class SealIntent:
+class SignedHead(SignedRecord):
+    """A signed (chain head, counter value, entry count) anchor."""
+
+    DOMAIN = b"LOG-HEAD"
+    NAME = "audit log head"
+
+    head_hash: bytes = hash_field()
+    counter_value: int = uint_field(8)
+    entry_count: int = uint_field(8)
+    signature: EcdsaSignature
+
+
+@dataclass(frozen=True)
+class SealIntent(SignedRecord):
     """A signed write-ahead marker: "a seal of this chain state is in flight".
 
     Written to storage *before* the ROTE increment of each epoch seal.
@@ -98,60 +230,19 @@ class SealIntent:
     a rollback. Without it, any counter gap is treated as an attack.
     """
 
-    log_id: str
-    head_hash: bytes
-    entry_count: int
+    DOMAIN = b"SEAL-INTENT"
+    NAME = "seal intent"
+    MAGIC = b"INTENT1"
+    SIDECAR = "intent"
+
+    log_id: str = text_field()
+    head_hash: bytes = hash_field()
+    entry_count: int = uint_field(8)
     signature: EcdsaSignature
-
-    def payload(self) -> bytes:
-        return (
-            b"SEAL-INTENT\x00"
-            + self.log_id.encode()
-            + b"\x00"
-            + self.head_hash
-            + self.entry_count.to_bytes(8, "big")
-        )
-
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, log_id: str, head_hash: bytes, entry_count: int
-    ) -> "SealIntent":
-        unsigned = SealIntent(log_id, head_hash, entry_count, EcdsaSignature(0, 0))
-        return SealIntent(log_id, head_hash, entry_count, key.sign(unsigned.payload()))
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("seal intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"INTENT1",
-                self.log_id.encode(),
-                self.head_hash.hex().encode(),
-                str(self.entry_count).encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "SealIntent":
-        try:
-            magic, log_id, head_hex, count, sig_hex = blob.split(b"\x00")
-            if magic != b"INTENT1":
-                raise ValueError("bad magic")
-            return cls(
-                log_id.decode(),
-                bytes.fromhex(head_hex.decode()),
-                int(count),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"seal intent unparsable: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class RotationIntent:
+class RotationIntent(SignedRecord):
     """A signed write-ahead marker: "a key rotation to ``to_epoch`` is in flight".
 
     Written to storage *before* the authority rotates, so a crash at any
@@ -162,68 +253,20 @@ class RotationIntent:
     has fully converged.
     """
 
-    log_id: str
-    from_epoch: int
-    to_epoch: int
-    reason: str
+    DOMAIN = b"ROTATE-INTENT"
+    NAME = "rotation intent"
+    MAGIC = b"ROTATE1"
+    SIDECAR = "rotation"
+
+    log_id: str = text_field()
+    from_epoch: int = uint_field(4)
+    to_epoch: int = uint_field(4)
+    reason: str = tail_text_field()
     signature: EcdsaSignature
-
-    def payload(self) -> bytes:
-        return (
-            b"ROTATE-INTENT\x00"
-            + self.log_id.encode()
-            + b"\x00"
-            + self.from_epoch.to_bytes(4, "big")
-            + self.to_epoch.to_bytes(4, "big")
-            + self.reason.encode()
-        )
-
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, log_id: str, from_epoch: int, to_epoch: int, reason: str
-    ) -> "RotationIntent":
-        unsigned = RotationIntent(
-            log_id, from_epoch, to_epoch, reason, EcdsaSignature(0, 0)
-        )
-        return RotationIntent(
-            log_id, from_epoch, to_epoch, reason, key.sign(unsigned.payload())
-        )
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("rotation intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"ROTATE1",
-                self.log_id.encode(),
-                str(self.from_epoch).encode(),
-                str(self.to_epoch).encode(),
-                self.reason.encode().hex().encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "RotationIntent":
-        try:
-            magic, log_id, from_e, to_e, reason_hex, sig_hex = blob.split(b"\x00")
-            if magic != b"ROTATE1":
-                raise ValueError("bad magic")
-            return cls(
-                log_id.decode(),
-                int(from_e),
-                int(to_e),
-                bytes.fromhex(reason_hex.decode()).decode(),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"rotation intent unparsable: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class MembershipIntent:
+class MembershipIntent(SignedRecord):
     """A signed write-ahead marker: "a shard membership change is in flight".
 
     Mirrors :class:`RotationIntent` for the sharded audit plane: written
@@ -234,89 +277,21 @@ class MembershipIntent:
     the sidecar is cleared only once the change has fully converged.
     """
 
-    plane_id: str
-    change_id: str
-    kind: str  #: ``"split"`` (shard added) or ``"merge"`` (shard removed)
-    shard: str
-    generation_from: int
-    generation_to: int
-    epoch: int
+    DOMAIN = b"SHARD-INTENT"
+    NAME = "membership intent"
+    MAGIC = b"SHARD1"
+    SIDECAR = "membership"
+    OWNER = "plane_id"
+
+    plane_id: str = text_field()
+    change_id: str = text_field()
+    #: ``"split"`` (shard added) or ``"merge"`` (shard removed)
+    kind: str = text_field()
+    shard: str = text_field()
+    generation_from: int = uint_field(8)
+    generation_to: int = uint_field(8)
+    epoch: int = uint_field(4)
     signature: EcdsaSignature
-
-    def payload(self) -> bytes:
-        return (
-            b"SHARD-INTENT\x00"
-            + self.plane_id.encode()
-            + b"\x00"
-            + self.change_id.encode()
-            + b"\x00"
-            + self.kind.encode()
-            + b"\x00"
-            + self.shard.encode()
-            + b"\x00"
-            + self.generation_from.to_bytes(8, "big")
-            + self.generation_to.to_bytes(8, "big")
-            + self.epoch.to_bytes(4, "big")
-        )
-
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey,
-        plane_id: str,
-        change_id: str,
-        kind: str,
-        shard: str,
-        generation_from: int,
-        generation_to: int,
-        epoch: int,
-    ) -> "MembershipIntent":
-        unsigned = MembershipIntent(
-            plane_id, change_id, kind, shard,
-            generation_from, generation_to, epoch, EcdsaSignature(0, 0),
-        )
-        return MembershipIntent(
-            plane_id, change_id, kind, shard,
-            generation_from, generation_to, epoch, key.sign(unsigned.payload()),
-        )
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("membership intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"SHARD1",
-                self.plane_id.encode(),
-                self.change_id.encode(),
-                self.kind.encode(),
-                self.shard.encode(),
-                str(self.generation_from).encode(),
-                str(self.generation_to).encode(),
-                str(self.epoch).encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "MembershipIntent":
-        try:
-            (magic, plane_id, change_id, kind, shard,
-             gen_from, gen_to, epoch, sig_hex) = blob.split(b"\x00")
-            if magic != b"SHARD1":
-                raise ValueError("bad magic")
-            return cls(
-                plane_id.decode(),
-                change_id.decode(),
-                kind.decode(),
-                shard.decode(),
-                int(gen_from),
-                int(gen_to),
-                int(epoch),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"membership intent unparsable: {exc}") from exc
 
 
 class HashChain:

@@ -13,10 +13,13 @@ file *and* the parent directory (a rename is not durable until the
 directory entry is), and cleaning up orphaned ``.tmp`` files left by
 crashes mid-write.
 
-Alongside the snapshot, storage keeps a small *seal-intent* sidecar file
-written ahead of each ROTE increment (see ``AuditLog.seal_epoch``); the
-recovery protocol uses it to distinguish a benign crash mid-seal from a
-rollback attack.
+Alongside the snapshot, storage keeps small write-ahead *sidecars*, one
+per key, behind one ``save_intent``/``load_intent``/``clear_intent``
+trio. Each holds one signed record (:class:`~repro.audit.hashchain.SignedRecord`)
+and is keyed by its ``SIDECAR`` name: ``intent`` (the seal intent written
+ahead of each ROTE increment, see ``AuditLog.seal_epoch``, which lets the
+recovery protocol tell a benign crash mid-seal from a rollback attack),
+``rotation`` (key rotation) and ``membership`` (shard rebalance).
 
 Disk latency is metered (synchronous flush per request/response pair is
 the LibSEAL-disk configuration of Fig. 5). All failures surface as typed
@@ -68,17 +71,8 @@ class LogStorage:
     def _tmp_path(self) -> Path:
         return self.path.with_suffix(self.path.suffix + ".tmp")
 
-    @property
-    def _intent_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".intent")
-
-    @property
-    def _rotation_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".rotation")
-
-    @property
-    def _membership_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".membership")
+    def _sidecar_path(self, key: str) -> Path:
+        return self.path.with_suffix(f"{self.path.suffix}.{key}")
 
     def _cleanup_orphans(self) -> list[Path]:
         """Remove ``.tmp`` leftovers from crashed writes (torn tails)."""
@@ -181,98 +175,33 @@ class LogStorage:
         return self.path.stat().st_size if self.exists() else 0
 
     # ------------------------------------------------------------------
-    # Seal-intent sidecar (write-ahead marker for the seal protocol)
+    # Write-ahead sidecars, one file per key: ``.intent`` (seal),
+    # ``.rotation`` (key rotation), ``.membership`` (shard rebalance)
     # ------------------------------------------------------------------
 
-    def save_intent(self, blob: bytes) -> None:
-        """Durably record a seal intent (small, overwritten in place)."""
+    def save_intent(self, blob: bytes, key: str = "intent") -> None:
+        """Durably record a write-ahead intent (small, overwritten in place)."""
+        path = self._sidecar_path(key)
         try:
-            with open(self._intent_path, "wb") as handle:
+            with open(path, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
-            raise StorageError(
-                f"cannot write intent {self._intent_path}: {exc}"
-            ) from exc
+            raise StorageError(f"cannot write {key} sidecar {path}: {exc}") from exc
 
-    def load_intent(self) -> bytes | None:
+    def load_intent(self, key: str = "intent") -> bytes | None:
+        path = self._sidecar_path(key)
         try:
-            return self._intent_path.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
-            raise StorageError(
-                f"cannot read intent {self._intent_path}: {exc}"
-            ) from exc
+            raise StorageError(f"cannot read {key} sidecar {path}: {exc}") from exc
 
-    def clear_intent(self) -> None:
+    def clear_intent(self, key: str = "intent") -> None:
         try:
-            self._intent_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Rotation-intent sidecar (write-ahead marker for key rotation)
-    # ------------------------------------------------------------------
-
-    def save_rotation(self, blob: bytes) -> None:
-        """Durably record a rotation intent (small, overwritten in place)."""
-        try:
-            with open(self._rotation_path, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise StorageError(
-                f"cannot write rotation intent {self._rotation_path}: {exc}"
-            ) from exc
-
-    def load_rotation(self) -> bytes | None:
-        try:
-            return self._rotation_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read rotation intent {self._rotation_path}: {exc}"
-            ) from exc
-
-    def clear_rotation(self) -> None:
-        try:
-            self._rotation_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Membership-intent sidecar (write-ahead marker for shard rebalance)
-    # ------------------------------------------------------------------
-
-    def save_membership(self, blob: bytes) -> None:
-        """Durably record a shard membership intent (small, overwritten)."""
-        try:
-            with open(self._membership_path, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise StorageError(
-                f"cannot write membership intent {self._membership_path}: {exc}"
-            ) from exc
-
-    def load_membership(self) -> bytes | None:
-        try:
-            return self._membership_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read membership intent {self._membership_path}: {exc}"
-            ) from exc
-
-    def clear_membership(self) -> None:
-        try:
-            self._membership_path.unlink(missing_ok=True)
+            self._sidecar_path(key).unlink(missing_ok=True)
         except OSError:
             pass
 
@@ -287,9 +216,7 @@ class InMemoryStorage(LogStorage):
         self.total_latency_ms = 0.0
         self.orphans_cleaned: list[Path] = []
         self._blob: bytes | None = None
-        self._intent: bytes | None = None
-        self._rotation: bytes | None = None
-        self._membership: bytes | None = None
+        self._sidecars: dict[str, bytes] = {}
 
     def save(self, blob: bytes) -> None:
         self._blob = blob
@@ -308,29 +235,11 @@ class InMemoryStorage(LogStorage):
     def size_bytes(self) -> int:
         return len(self._blob) if self._blob is not None else 0
 
-    def save_intent(self, blob: bytes) -> None:
-        self._intent = blob
+    def save_intent(self, blob: bytes, key: str = "intent") -> None:
+        self._sidecars[key] = blob
 
-    def load_intent(self) -> bytes | None:
-        return self._intent
+    def load_intent(self, key: str = "intent") -> bytes | None:
+        return self._sidecars.get(key)
 
-    def clear_intent(self) -> None:
-        self._intent = None
-
-    def save_rotation(self, blob: bytes) -> None:
-        self._rotation = blob
-
-    def load_rotation(self) -> bytes | None:
-        return self._rotation
-
-    def clear_rotation(self) -> None:
-        self._rotation = None
-
-    def save_membership(self, blob: bytes) -> None:
-        self._membership = blob
-
-    def load_membership(self) -> bytes | None:
-        return self._membership
-
-    def clear_membership(self) -> None:
-        self._membership = None
+    def clear_intent(self, key: str = "intent") -> None:
+        self._sidecars.pop(key, None)

@@ -134,23 +134,6 @@ class RecoveryReport:
         return " ".join(bits)
 
 
-def _load_intent(
-    storage: LogStorage, public_key: EcdsaPublicKey, log_id: str
-) -> SealIntent | None:
-    """The stored seal intent, or None if absent, forged or malformed."""
-    blob = storage.load_intent()
-    if blob is None:
-        return None
-    try:
-        intent = SealIntent.decode(blob)
-        intent.verify(public_key)
-    except IntegrityError:
-        return None  # forged/corrupt intent buys the adversary nothing
-    if intent.log_id != log_id:
-        return None
-    return intent
-
-
 def recover_log(
     storage: LogStorage,
     signing_key: EcdsaPrivateKey,
@@ -186,7 +169,7 @@ def _recover_log(
     log_id: str,
 ) -> RecoveryReport:
     torn = bool(getattr(storage, "orphans_cleaned", []))
-    intent = _load_intent(storage, public_key, log_id)
+    intent = SealIntent.load_sidecar(storage, public_key, log_id)
 
     if not storage.exists():
         # Nothing was ever durably sealed. A leftover intent means the

@@ -41,10 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit.hashchain import RotationIntent
-from repro.errors import IntegrityError
 from repro.faults import hooks as _faults
 from repro.obs import hooks as _obs
 from repro.sgx.sealing import EpochState
+
+#: ``rotation.step`` fault-site checks per rotation: one after the WAL
+#: write, one after each of steps 2-6.
+ROTATION_CHECKPOINTS = 6
+
+#: The fault site the chaos suite injects crashes at.
+FAULT_SITE = "rotation.step"
 
 
 @dataclass
@@ -126,9 +132,9 @@ class KeyRotationCoordinator:
             from_epoch + 1,
             reason,
         )
-        self.storage.save_rotation(intent.encode())
+        self.storage.save_intent(intent.encode(), RotationIntent.SIDECAR)
         self.rotations_started += 1
-        self._checkpoint()
+        _faults.crash_point(FAULT_SITE)
         return self._run(intent)
 
     def resume(self) -> RotationReport | None:
@@ -139,17 +145,13 @@ class KeyRotationCoordinator:
         worst outcome is that a genuine in-flight rotation is re-issued
         by the operator.
         """
-        blob = self.storage.load_rotation()
-        if blob is None:
-            return None
-        try:
-            intent = RotationIntent.decode(blob)
-            intent.verify(self.libseal.signing_key.public_key())
-        except IntegrityError:
-            self.storage.clear_rotation()
-            return None
-        if intent.log_id != self.log_id:
-            self.storage.clear_rotation()
+        intent = RotationIntent.load_sidecar(
+            self.storage,
+            self.libseal.signing_key.public_key(),
+            self.log_id,
+            on_invalid=self._clear_wal,
+        )
+        if intent is None:
             return None
         self.rotations_resumed += 1
         return self._run(intent, resumed=True)
@@ -181,11 +183,8 @@ class KeyRotationCoordinator:
     # The idempotent step sequence
     # ------------------------------------------------------------------
 
-    def _checkpoint(self) -> None:
-        """Fault site between rotation steps (chaos injects crashes here)."""
-        for event in _faults.check("rotation.step"):
-            if event.kind in ("crash", "abort"):
-                raise _faults.active().crash(event)
+    def _clear_wal(self) -> None:
+        self.storage.clear_intent(RotationIntent.SIDECAR)
 
     def _run(self, intent: RotationIntent, resumed: bool = False) -> RotationReport:
         report = RotationReport(
@@ -198,7 +197,7 @@ class KeyRotationCoordinator:
             # Step 2: advance the key registry (guard: already advanced).
             if self.authority.current_epoch < intent.to_epoch:
                 self.authority.rotate(intent.reason)
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 3: the rotation becomes part of the audited history.
             detail = (
@@ -206,26 +205,26 @@ class KeyRotationCoordinator:
             )
             if not self.audit_log.has_event("key_rotation", detail):
                 self.audit_log.append_event("key_rotation", detail)
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 4: re-seal the log snapshot under the new epoch. An
             # availability fault defers the re-seal (degraded mode), it
             # does not abort the rotation — the WAL survives until done.
             report.log_resealed = self.libseal._try_seal()
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 5: replicas adopt the epoch and re-seal their state.
             report.acks = self.cluster.announce_epoch()
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 6: retire the old lineage only once the whole group
             # is across; otherwise the grace window keeps it verifiable.
             if len(report.acks) == self.cluster.n and report.converged:
                 report.retired = self.finish(force=True)
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             if report.log_resealed:
-                self.storage.clear_rotation()
+                self._clear_wal()
             if _obs.ON:
                 _obs.active().metrics.counter(
                     "key_rotation_runs_total",
@@ -239,4 +238,4 @@ class KeyRotationCoordinator:
 
     def reseal_pending(self) -> bool:
         """Whether a rotation WAL entry is still outstanding."""
-        return self.storage.load_rotation() is not None
+        return self.storage.load_intent(RotationIntent.SIDECAR) is not None

@@ -32,6 +32,14 @@ def check(site: str) -> tuple[FaultEvent, ...]:
     return injector.fire(site)
 
 
+def crash_point(site: str) -> None:
+    """A step boundary of a write-ahead procedure: raise the injected
+    crash for any ``crash``/``abort`` event due at ``site``."""
+    for event in check(site):
+        if event.kind in ("crash", "abort"):
+            raise _ACTIVE.crash(event)
+
+
 def record_save(key: str, blob: bytes) -> None:
     """Let the injector snapshot a saved blob (for stale-read faults)."""
     injector = _ACTIVE

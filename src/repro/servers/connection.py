@@ -19,6 +19,13 @@ or hostile service payloads. This module supervises that boundary:
   the deterministic fuzzing harness (:mod:`repro.faults.fuzz`) can
   mutate, truncate, drop or replay network chunks from a seeded plan.
 
+Connections are state machines, not pumps: the one pump is
+:class:`~repro.servers.eventloop.EventLoop`, which runs each
+connection's steps (:meth:`ServerConnection.ingress` →
+:meth:`~ServerConnection.decrypt` → :meth:`~ServerConnection.dispatch`)
+as scheduler slices. :class:`ConnectionSupervisor` is the connection
+registry it drives: open, close, per-feed accounting and deadlines.
+
 The supervisor works identically over the in-enclave TLS API
 (:class:`~repro.enclave_tls.EnclaveTlsRuntime`), the native API
 (:mod:`repro.tls.api`) or no TLS at all (plain mode, for HTTP-layer
@@ -53,10 +60,9 @@ from repro.tls.connection import (
 
 Handler = Callable[[HttpRequest], HttpResponse]
 
-#: The typed families whose members abort exactly one connection. Both
-#: pump styles — the externally-pumped :meth:`ServerConnection.feed` and
-#: the event-loop driver (:mod:`repro.servers.eventloop`) — catch this
-#: tuple and nothing else, so teardown semantics cannot diverge.
+#: The typed families whose members abort exactly one connection. The
+#: event-loop driver (:mod:`repro.servers.eventloop`) catches this tuple
+#: and nothing else.
 VIOLATION_ERRORS = (TLSError, HTTPError, ProtocolViolation, AttestationError)
 
 __all__ = [
@@ -211,35 +217,6 @@ class ServerConnection:
 
     # -- byte ingress --------------------------------------------------
 
-    def feed(self, data: bytes) -> FeedResult:
-        """Deliver one chunk of raw client bytes; never raises for
-        malformed input — a violation aborts *this* connection and is
-        reported in the :class:`FeedResult`.
-
-        This is the externally-pumped composition of the pure
-        state-machine steps (:meth:`ingress` → :meth:`decrypt` →
-        :meth:`dispatch`); the event loop drives the same steps as
-        separate scheduler slices with identical semantics.
-        """
-        if self.aborted or self.closed:
-            return self.closed_result()
-        data = self.ingress(data)
-        result = FeedResult()
-        try:
-            plaintext = self.decrypt(data)
-            if plaintext or self.api is None:
-                self.dispatch(plaintext, result)
-        except VIOLATION_ERRORS as exc:
-            # AttestationError: an RA-TLS peer whose evidence failed the
-            # verification pipeline is torn down exactly like any other
-            # handshake violation — alert, abort, isolate — and can never
-            # reach the HTTP layer.
-            self.abort(exc)
-            result.aborted = True
-            result.violation = exc
-        result.output += self.drain_output()
-        return result
-
     def closed_result(self) -> FeedResult:
         """The result every feed on a dead connection reports."""
         return FeedResult(
@@ -250,8 +227,7 @@ class ServerConnection:
 
     def ingress(self, data: bytes) -> bytes:
         """Byte-ingress bookkeeping: stamp activity, run the
-        ``conn.feed`` fault site. Shared by both pump styles so fault
-        plans hit the event-loop path exactly like the direct path."""
+        ``conn.feed`` fault site."""
         self.last_activity = self.clock.now()
         return self._apply_network_faults(data)
 
@@ -269,10 +245,6 @@ class ServerConnection:
             return self.api.SSL_read(self.ssl) or b""
         return b""
 
-    def dispatch(self, plaintext: bytes, result: FeedResult) -> None:
-        """Pure HTTP step: reassemble, parse, dispatch the handler and
-        queue responses. Raises typed errors only."""
-        self._on_plaintext(plaintext, result)
 
     def _apply_network_faults(self, data: bytes) -> bytes:
         events = _faults.check("conn.feed")
@@ -292,7 +264,9 @@ class ServerConnection:
 
     # -- HTTP layer ----------------------------------------------------
 
-    def _on_plaintext(self, plaintext: bytes, result: FeedResult) -> None:
+    def dispatch(self, plaintext: bytes, result: FeedResult) -> None:
+        """Pure HTTP step: reassemble, parse, dispatch the handler and
+        queue responses. Raises typed errors only."""
         self.http_buffer.extend(plaintext)
         extracted = 0
         while True:
@@ -433,12 +407,13 @@ class SupervisorStats:
 
 
 class ConnectionSupervisor:
-    """Owns every live :class:`ServerConnection`; guarantees isolation.
+    """The registry of live connections; guarantees isolation.
 
-    One hostile connection can at worst abort itself: the supervisor
-    routes each violation to the offending connection's teardown and
-    keeps serving the others. ``tick()`` advances deadline enforcement
-    against the shared :class:`SimClock`.
+    One hostile connection can at worst abort itself: :meth:`account`
+    drops only the offending connection and the others keep serving.
+    ``tick()`` advances deadline enforcement against the shared
+    :class:`SimClock`. Bytes reach connections through the
+    :class:`~repro.servers.eventloop.EventLoop` that owns this registry.
     """
 
     def __init__(
@@ -494,15 +469,8 @@ class ConnectionSupervisor:
             raise ConnectionAborted(f"unknown connection {conn_id}")
         return conn
 
-    def feed(self, conn_id: int, data: bytes) -> FeedResult:
-        """Deliver client bytes to one connection, isolated from the rest."""
-        conn = self.connection(conn_id)
-        result = conn.feed(data)
-        self.account(conn, result)
-        return result
-
     def account(self, conn: ServerConnection, result: FeedResult) -> None:
-        """Record one feed's outcome (shared with the event-loop pump)."""
+        """Record one feed's outcome (called by the event-loop driver)."""
         self.stats.requests_served += result.served
         self.stats.bad_requests += result.bad_requests
         if _obs.ON:

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.audit.admission import AdmissionController
-from repro.audit.hashchain import HashChain
+from repro.audit.hashchain import (
+    HashChain,
+    SignedRecord,
+    hash_field,
+    text_field,
+    uint_field,
+)
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.rote import RoteCluster
 from repro.core.checker import InvariantRunStats
@@ -152,7 +158,7 @@ class DecommissionCommand:
 
 
 @dataclass(frozen=True)
-class RangeManifest:
+class RangeManifest(SignedRecord):
     """The signed splice proof accompanying one range transfer.
 
     Binds the moved subsequence (splice head + tuple count) to the
@@ -162,14 +168,17 @@ class RangeManifest:
     against a live quorum retrieve on the source's ROTE group.
     """
 
-    change_id: str
-    source_shard: str
-    target_shard: str
-    ranges_digest: bytes
-    splice_head: bytes
-    tuple_count: int
-    counter_value: int
-    epoch: int
+    DOMAIN = b"RANGE-MANIFEST"
+    NAME = "range manifest"
+
+    change_id: str = text_field()
+    source_shard: str = text_field()
+    target_shard: str = text_field()
+    ranges_digest: bytes = hash_field()
+    splice_head: bytes = hash_field()
+    tuple_count: int = uint_field(8)
+    counter_value: int = uint_field(8)
+    epoch: int = uint_field(4)
     signature: EcdsaSignature
 
     @staticmethod
@@ -180,31 +189,6 @@ class RangeManifest:
             for rng in sorted(ranges, key=lambda r: r.lo)
         )
         return sha256(b"SHARD-RANGES\x00" + doc)
-
-    def payload(self) -> bytes:
-        return (
-            b"RANGE-MANIFEST\x00"
-            + self.change_id.encode()
-            + b"\x00"
-            + self.source_shard.encode()
-            + b"\x00"
-            + self.target_shard.encode()
-            + b"\x00"
-            + self.ranges_digest
-            + self.splice_head
-            + self.tuple_count.to_bytes(8, "big")
-            + self.counter_value.to_bytes(8, "big")
-            + self.epoch.to_bytes(4, "big")
-        )
-
-    @staticmethod
-    def sign(key: EcdsaPrivateKey, **fields) -> "RangeManifest":
-        unsigned = RangeManifest(signature=EcdsaSignature(0, 0), **fields)
-        return RangeManifest(signature=key.sign(unsigned.payload()), **fields)
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("range manifest signature invalid")
 
 
 def splice_head_of(payloads) -> bytes:

@@ -115,7 +115,8 @@ class Rebalancer:
 
     def pending(self) -> bool:
         """Whether a membership-change WAL entry is outstanding."""
-        return self.plane.control_storage.load_membership() is not None
+        storage = self.plane.control_storage
+        return storage.load_intent(MembershipIntent.SIDECAR) is not None
 
     def resume(self) -> RebalanceReport | None:
         """Replay a change whose WAL entry survived a crash.
@@ -124,19 +125,13 @@ class Rebalancer:
         outcome is that the operator re-issues a genuine change.
         """
         plane = self.plane
-        blob = plane.control_storage.load_membership()
-        if blob is None:
-            return None
-        try:
-            intent = MembershipIntent.decode(blob)
-            intent.verify(plane.signing_key.public_key())
-        except IntegrityError:
-            plane.control_storage.clear_membership()
-            self.frozen = ()
-            return None
-        if intent.plane_id != plane.plane_id:
-            plane.control_storage.clear_membership()
-            self.frozen = ()
+        intent = MembershipIntent.load_sidecar(
+            plane.control_storage,
+            plane.signing_key.public_key(),
+            plane.plane_id,
+            on_invalid=self._discard_wal,
+        )
+        if intent is None:
             return None
         self.changes_resumed += 1
         return self._run(intent, resumed=True)
@@ -172,16 +167,14 @@ class Rebalancer:
         # Step 1: the WAL entry, durable before anything changes. Writes
         # to the moving ranges freeze from this instant.
         self.frozen = self._moving_ranges(intent)
-        plane.control_storage.save_membership(intent.encode())
+        plane.control_storage.save_intent(intent.encode(), MembershipIntent.SIDECAR)
         self.changes_started += 1
-        self._checkpoint()
+        _faults.crash_point(FAULT_SITE)
         return self._run(intent)
 
-    def _checkpoint(self) -> None:
-        """Fault site between steps (chaos injects crashes here)."""
-        for event in _faults.check(FAULT_SITE):
-            if event.kind in ("crash", "abort"):
-                raise _faults.active().crash(event)
+    def _discard_wal(self) -> None:
+        self.plane.control_storage.clear_intent(MembershipIntent.SIDECAR)
+        self.frozen = ()
 
     def _moving_ranges(self, intent: MembershipIntent) -> tuple[HashRange, ...]:
         router = self.plane.router
@@ -212,13 +205,13 @@ class Rebalancer:
             # Step 2: the change enters the audited membership history.
             if plane.membership.record(intent, "begin"):
                 plane.seal_control()
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 3: a joining shard exists (mutually admitted) before
             # any range can move onto it.
             if intent.kind == "split":
                 plane.provisioner.provision(intent.shard)
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 4: move every range, fail-closed. Any unprovable
             # freshness or integrity shortfall aborts *here*, with the
@@ -228,7 +221,7 @@ class Rebalancer:
             except (FreshnessUnverifiableError, IntegrityError):
                 self.failclosed_aborts += 1
                 raise
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 5: cutover — ownership flips atomically in the ring.
             if plane.router.generation < intent.generation_to:
@@ -240,14 +233,14 @@ class Rebalancer:
                 plane.seal_control()
             self.frozen = ()
             plane.push_ownership()
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
             # Step 6: old owners drop what moved away; a drained shard
             # leaves the plane. Both are idempotent under replay.
             report.retired_tuples = self._retire(intent)
-            self._checkpoint()
+            _faults.crash_point(FAULT_SITE)
 
-            plane.control_storage.clear_membership()
+            plane.control_storage.clear_intent(MembershipIntent.SIDECAR)
             report.completed = True
             if _obs.ON:
                 _obs.active().metrics.counter(

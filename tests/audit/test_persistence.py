@@ -135,11 +135,11 @@ class TestOrphanCleanup:
         first = LogStorage(path)
         first.save(OLD)
         first.save_intent(b"intent")
-        first.save_membership(b"membership")
+        first.save_intent(b"membership", "membership")
         second = LogStorage(path)
         assert second.orphans_cleaned == []
         assert second.load_intent() == b"intent"
-        assert second.load_membership() == b"membership"
+        assert second.load_intent("membership") == b"membership"
 
 
 class TestLoadFaults:
@@ -182,26 +182,23 @@ class TestSidecars:
 
     @pytest.mark.parametrize("name", ["intent", "rotation", "membership"])
     def test_sidecar_roundtrip_and_clear(self, store, name):
-        save = getattr(store, f"save_{name}")
-        load = getattr(store, f"load_{name}")
-        clear = getattr(store, f"clear_{name}")
-        assert load() is None
-        save(b"wal-entry")
-        assert load() == b"wal-entry"
-        save(b"wal-entry-2")  # overwritten in place
-        assert load() == b"wal-entry-2"
-        clear()
-        assert load() is None
-        clear()  # idempotent
+        assert store.load_intent(name) is None
+        store.save_intent(b"wal-entry", name)
+        assert store.load_intent(name) == b"wal-entry"
+        store.save_intent(b"wal-entry-2", name)  # overwritten in place
+        assert store.load_intent(name) == b"wal-entry-2"
+        store.clear_intent(name)
+        assert store.load_intent(name) is None
+        store.clear_intent(name)  # idempotent
 
     def test_sidecars_are_independent_files(self, store):
         store.save_intent(b"a")
-        store.save_rotation(b"b")
-        store.save_membership(b"c")
-        store.clear_rotation()
+        store.save_intent(b"b", "rotation")
+        store.save_intent(b"c", "membership")
+        store.clear_intent("rotation")
         assert store.load_intent() == b"a"
-        assert store.load_rotation() is None
-        assert store.load_membership() == b"c"
+        assert store.load_intent("rotation") is None
+        assert store.load_intent("membership") == b"c"
 
 
 class TestInMemoryParity:
@@ -216,8 +213,8 @@ class TestInMemoryParity:
 
     def test_membership_sidecar(self):
         store = InMemoryStorage()
-        assert store.load_membership() is None
-        store.save_membership(b"m")
-        assert store.load_membership() == b"m"
-        store.clear_membership()
-        assert store.load_membership() is None
+        assert store.load_intent("membership") is None
+        store.save_intent(b"m", "membership")
+        assert store.load_intent("membership") == b"m"
+        store.clear_intent("membership")
+        assert store.load_intent("membership") is None

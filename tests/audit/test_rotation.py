@@ -19,23 +19,22 @@ from repro.audit.hashchain import RotationIntent
 from repro.audit.log import EVENTS_TABLE
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.recovery import RecoveryOutcome, recover_log
-from repro.audit.rotation import KeyRotationCoordinator
+from repro.audit.rotation import (
+    FAULT_SITE,
+    ROTATION_CHECKPOINTS,
+    KeyRotationCoordinator,
+)
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
 from repro.crypto.ecdsa import EcdsaSignature
 from repro.errors import IntegrityError, RetiredEpochError, SealingError
-from repro.faults import hooks as _faults
-from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
 from repro.sgx import Enclave, EnclaveConfig, EpochState, KeyPolicy, SealedBlob
 from repro.sgx.sealing import SigningAuthority
 from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
-
-#: Checkpoints one rotate() call visits (kept in sync with the
-#: coordinator's _checkpoint() call sites).
-ROTATION_CHECKPOINTS = 6
+from tests.wal_matrix import crash_at, crash_matrix, site_visits
 
 
 class Stack:
@@ -82,7 +81,7 @@ class Stack:
         ]
         assert active == [expected_epoch]
         assert authority.current_epoch == expected_epoch
-        assert self.storage.load_rotation() is None
+        assert self.storage.load_intent("rotation") is None
         usable = (EpochState.ACTIVE, EpochState.GRACE)
         for replica in self.cluster.nodes:
             if replica.sealed_state is not None:
@@ -150,17 +149,17 @@ class TestHappyPath:
 
 
 class TestCrashAtEveryStep:
-    @pytest.mark.parametrize("step", range(1, ROTATION_CHECKPOINTS + 1))
+    def test_checkpoint_count_matches_the_coordinator(self, stack):
+        visits = site_visits(
+            FAULT_SITE, lambda: stack.coordinator.rotate("scheduled")
+        )
+        assert visits == ROTATION_CHECKPOINTS
+
+    @crash_matrix(ROTATION_CHECKPOINTS)
     def test_crash_then_resume_converges(self, step):
         stack = Stack()
         stack.seed_activity()
-        plan = FaultPlan(
-            [FaultEvent("rotation.step", "crash", at=step)],
-            scenario="rotation-crash-test",
-        )
-        with _faults.inject(plan):
-            with pytest.raises(InjectedCrash):
-                stack.coordinator.rotate("scheduled")
+        crash_at(FAULT_SITE, step, lambda: stack.coordinator.rotate("scheduled"))
         # The WAL survived the crash; replay must converge.
         report = stack.coordinator.resume()
         assert report is not None
@@ -178,13 +177,7 @@ class TestCrashAtEveryStep:
     def test_double_resume_is_idempotent(self):
         stack = Stack()
         stack.seed_activity()
-        plan = FaultPlan(
-            [FaultEvent("rotation.step", "crash", at=3)],
-            scenario="rotation-crash-test",
-        )
-        with _faults.inject(plan):
-            with pytest.raises(InjectedCrash):
-                stack.coordinator.rotate("scheduled")
+        crash_at(FAULT_SITE, 3, lambda: stack.coordinator.rotate("scheduled"))
         assert stack.coordinator.resume() is not None
         assert stack.coordinator.resume() is None  # WAL cleared
         stack.assert_converged(2)
@@ -193,9 +186,9 @@ class TestCrashAtEveryStep:
         intent = RotationIntent(
             "rotation-test", 1, 2, "forged", EcdsaSignature(1, 1)
         )
-        stack.storage.save_rotation(intent.encode())
+        stack.storage.save_intent(intent.encode(), "rotation")
         assert stack.coordinator.resume() is None
-        assert stack.storage.load_rotation() is None
+        assert stack.storage.load_intent("rotation") is None
         assert stack.authority.current_epoch == 1
 
 
@@ -213,7 +206,7 @@ class TestStaleReplica:
         assert not report.log_resealed
         assert stack.libseal.degraded.active
         assert stack.libseal.degraded.reason == "freshness-unverifiable"
-        assert stack.storage.load_rotation() is not None
+        assert stack.storage.load_intent("rotation") is not None
         # Stragglers acked their old epoch, so nothing was retired.
         assert {report.acks[i] for i in stuck} == {1}
         assert report.retired == []
@@ -224,7 +217,7 @@ class TestStaleReplica:
         stack.coordinator.rotate("scheduled")
         clone = InMemoryStorage()
         clone._blob = stack.inner._blob
-        clone._intent = stack.inner._intent
+        clone._sidecars = dict(stack.inner._sidecars)
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
             stack.libseal.signing_key,

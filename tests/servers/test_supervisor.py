@@ -1,7 +1,9 @@
 """Connection lifecycle: isolation, deadlines, bounded teardown.
 
 One hostile connection may at worst abort itself; its neighbours and the
-audit log's consistent prefix must be untouched.
+audit log's consistent prefix must be untouched. Every scenario runs
+through the one front-end pump, :class:`~repro.servers.EventLoop`, over
+its :class:`~repro.servers.connection.ConnectionSupervisor` registry.
 """
 
 import pytest
@@ -9,11 +11,11 @@ import pytest
 from repro.errors import HTTPError, TLSError
 from repro.http import HttpRequest, HttpResponse
 from repro.http.parser import parse_response
+from repro.servers import EventLoop
 from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     DeadlineViolation,
     SimClock,
 )
@@ -32,7 +34,7 @@ def _request(path: str = "/a", headers: str = "") -> bytes:
 
 class TestPlainSupervisor:
     def test_serves_wellformed_request(self):
-        sup = ConnectionSupervisor(_echo_handler)
+        sup = EventLoop(_echo_handler)
         cid = sup.open()
         result = sup.feed(cid, _request("/hello"))
         assert result.served == 1 and not result.aborted
@@ -42,7 +44,7 @@ class TestPlainSupervisor:
     def test_delimitable_bad_request_gets_400_and_lives(self):
         """A parse failure on a message we *could* delimit is the
         client's problem, not a framing hazard: answer 400, keep going."""
-        sup = ConnectionSupervisor(_echo_handler)
+        sup = EventLoop(_echo_handler)
         cid = sup.open()
         result = sup.feed(cid, b"bogus request line\r\n\r\n")
         assert not result.aborted and result.bad_requests == 1
@@ -51,7 +53,7 @@ class TestPlainSupervisor:
         assert sup.feed(cid, _request()).served == 1
 
     def test_framing_violation_aborts_connection(self):
-        sup = ConnectionSupervisor(_echo_handler)
+        sup = EventLoop(_echo_handler)
         cid = sup.open()
         result = sup.feed(cid, _request(headers="Content-Length: -1\r\n"))
         assert result.aborted
@@ -60,7 +62,7 @@ class TestPlainSupervisor:
         assert sup.stats.aborted == 1
 
     def test_abort_is_isolated_from_neighbours(self):
-        sup = ConnectionSupervisor(_echo_handler)
+        sup = EventLoop(_echo_handler)
         good, bad = sup.open(), sup.open()
         sup.feed(good, _request("/one"))
         assert sup.feed(bad, b"X" * (1 << 17)).aborted  # head-buffer bound
@@ -69,7 +71,7 @@ class TestPlainSupervisor:
         assert sup.live_connections == [good]
 
     def test_feed_after_abort_reports_closed(self):
-        sup = ConnectionSupervisor(_echo_handler)
+        sup = EventLoop(_echo_handler)
         cid = sup.open()
         sup.feed(cid, _request(headers="Content-Length: -1\r\n"))
         follow_up = sup.connection(cid) if cid in sup.connections else None
@@ -79,7 +81,7 @@ class TestPlainSupervisor:
 
     def test_pipelining_depth_bound(self):
         limits = ConnectionLimits(max_pipelined_per_feed=2)
-        sup = ConnectionSupervisor(_echo_handler, limits=limits)
+        sup = EventLoop(_echo_handler, limits=limits)
         cid = sup.open()
         result = sup.feed(cid, _request("/1") + _request("/2") + _request("/3"))
         assert result.aborted
@@ -87,7 +89,7 @@ class TestPlainSupervisor:
 
     def test_lifetime_request_budget(self):
         limits = ConnectionLimits(max_requests_per_connection=2)
-        sup = ConnectionSupervisor(_echo_handler, limits=limits)
+        sup = EventLoop(_echo_handler, limits=limits)
         cid = sup.open()
         assert sup.feed(cid, _request("/1")).served == 1
         assert sup.feed(cid, _request("/2")).served == 1
@@ -100,7 +102,7 @@ class TestDeadlines:
     def test_idle_timeout_enforced_by_tick(self):
         clock = SimClock()
         limits = ConnectionLimits(idle_timeout_s=10.0)
-        sup = ConnectionSupervisor(_echo_handler, limits=limits, clock=clock)
+        sup = EventLoop(_echo_handler, limits=limits, clock=clock)
         busy, idle = sup.open(), sup.open()
         clock.advance(8.0)
         sup.feed(busy, _request())
@@ -118,7 +120,7 @@ class TestDeadlines:
         native_api.SSL_CTX_use_PrivateKey(ctx, key)
         clock = SimClock()
         limits = ConnectionLimits(handshake_timeout_s=5.0)
-        sup = ConnectionSupervisor(
+        sup = EventLoop(
             _echo_handler, api=native_api, ssl_ctx=ctx,
             limits=limits, clock=clock,
         )
@@ -137,7 +139,7 @@ class TestTlsSupervisor:
         ctx = native_api.SSL_CTX_new(native_api.TLS_server_method())
         native_api.SSL_CTX_use_certificate(ctx, cert)
         native_api.SSL_CTX_use_PrivateKey(ctx, key)
-        sup = ConnectionSupervisor(_echo_handler, api=native_api, ssl_ctx=ctx)
+        sup = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
         return ca, sup
 
     def _connect(self, ca, sup):
@@ -204,7 +206,7 @@ class TestAuditHandleRelease:
         api.SSL_CTX_use_certificate(ctx, cert)
         api.SSL_CTX_use_PrivateKey(ctx, key)
         closed: list[int] = []
-        sup = ConnectionSupervisor(
+        sup = EventLoop(
             _echo_handler, api=api, ssl_ctx=ctx, on_close=closed.append
         )
 

@@ -14,10 +14,11 @@ import pytest
 from repro.audit.hashchain import MembershipIntent
 from repro.crypto.ecdsa import EcdsaSignature
 from repro.errors import RangeUnavailableError, SimulationError
-from repro.faults import hooks as _faults
-from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
 from repro.shard import SHARD_CHECKPOINTS, ShardPlane
+from repro.shard.rebalance import FAULT_SITE
 from repro.workloads.messaging_traffic import MessagingWorkload
+from tests import wal_matrix
+from tests.wal_matrix import crash_matrix, site_visits
 
 
 def make_stack(shards):
@@ -30,13 +31,7 @@ def make_stack(shards):
 
 
 def crash_at(plane, step, change):
-    plan = FaultPlan(
-        [FaultEvent("shard.step", "crash", at=step)],
-        scenario="shard-crash-test",
-    )
-    with _faults.inject(plan):
-        with pytest.raises(InjectedCrash):
-            change()
+    wal_matrix.crash_at(FAULT_SITE, step, change)
     assert plane.rebalancer.pending()
 
 
@@ -54,7 +49,12 @@ def assert_converged(plane, expected_members):
 
 
 class TestSplitCrashMatrix:
-    @pytest.mark.parametrize("step", range(1, SHARD_CHECKPOINTS + 1))
+    def test_checkpoint_count_matches_the_rebalancer(self):
+        plane, _ = make_stack(("shard-0", "shard-1"))
+        visits = site_visits(FAULT_SITE, lambda: plane.rebalancer.split("shard-2"))
+        assert visits == SHARD_CHECKPOINTS
+
+    @crash_matrix(SHARD_CHECKPOINTS)
     def test_crash_then_resume_converges(self, step):
         plane, workload = make_stack(("shard-0", "shard-1"))
         crash_at(plane, step, lambda: plane.rebalancer.split("shard-2"))
@@ -93,7 +93,7 @@ class TestSplitCrashMatrix:
 
 
 class TestMergeCrashMatrix:
-    @pytest.mark.parametrize("step", range(1, SHARD_CHECKPOINTS + 1))
+    @crash_matrix(SHARD_CHECKPOINTS)
     def test_crash_then_resume_converges(self, step):
         plane, workload = make_stack(("shard-0", "shard-1", "shard-2"))
         assert plane.instances["shard-1"].payload_count() > 0
@@ -128,9 +128,9 @@ class TestWalHygiene:
             epoch=1,
             signature=EcdsaSignature(1, 1),
         )
-        plane.control_storage.save_membership(forged.encode())
+        plane.control_storage.save_intent(forged.encode(), "membership")
         assert plane.rebalancer.resume() is None
-        assert plane.control_storage.load_membership() is None
+        assert plane.control_storage.load_intent("membership") is None
         assert plane.router.members == ("shard-0", "shard-1")
 
     def test_foreign_wal_entry_is_discarded(self):
@@ -146,9 +146,9 @@ class TestWalHygiene:
             generation_to=2,
             epoch=1,
         )
-        plane.control_storage.save_membership(foreign.encode())
+        plane.control_storage.save_intent(foreign.encode(), "membership")
         assert plane.rebalancer.resume() is None
-        assert plane.control_storage.load_membership() is None
+        assert plane.control_storage.load_intent("membership") is None
 
     def test_overlapping_change_is_rejected(self):
         plane, _ = make_stack(("shard-0", "shard-1"))
