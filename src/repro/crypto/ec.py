@@ -1,19 +1,38 @@
 """NIST P-256 elliptic curve group arithmetic.
 
-Pure-Python short-Weierstrass arithmetic (``y^2 = x^3 + ax + b`` over GF(p))
+Pure-Python short-Weierstrass arithmetic (``y^2 = x^3 - 3x + b`` over GF(p))
 in Jacobian coordinates for speed. This backs ECDSA audit-log signatures,
 ECDHE in the TLS handshake, and certificate signatures — the same roles
 LibreSSL's EC code plays inside the LibSEAL enclave.
+
+Scalar multiplication picks one of two kernels by its input point:
+
+* ``k·G`` for the curve's generator uses a fixed-base comb. The table holds
+  the 15 affine multiples ``j·16^i·G`` for each of the 64 4-bit windows,
+  normalised with one inversion. It is built once per curve on first use
+  (about 11 ms), never at import. A multiply then costs at most 64 mixed
+  additions and no doublings.
+* Any other point uses a width-5 wNAF: its 8 odd multiples ``P .. 15P`` are
+  precomputed and made affine with one inversion, then a 256-bit scalar
+  costs about 256 doublings (the a = -3 formula) and 43 mixed additions.
+
+Both kernels return exactly the affine point plain double-and-add returns,
+so signatures (RFC 6979 nonces are deterministic), chain heads and
+certificates are bit-identical to that ladder; the tests keep it as the
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+_WNAF_WIDTH = 5
 
 
 @dataclass(frozen=True)
 class Curve:
-    """Domain parameters of a prime-field short-Weierstrass curve."""
+    """Domain parameters of a prime-field short-Weierstrass curve with a = -3."""
 
     name: str
     p: int
@@ -23,13 +42,32 @@ class Curve:
     gy: int
     n: int  # order of the base point
 
-    @property
+    def __post_init__(self) -> None:
+        if (self.a + 3) % self.p:
+            raise ValueError("only curves with a = -3 are supported")
+
+    @cached_property
     def generator(self) -> "ECPoint":
         return ECPoint(self, self.gx, self.gy)
 
     @property
     def coordinate_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
+
+    @cached_property
+    def _comb_table(self) -> list[list[tuple[int, int]]]:
+        """``table[i][j - 1]`` is the affine point ``j·16^i·G``."""
+        p = self.p
+        base = (self.gx, self.gy, 1)
+        points = []
+        for _ in range((self.n.bit_length() + 3) // 4):
+            row = [base]
+            for _ in range(14):
+                row.append(_jac_add(*row[-1], *base, p))
+            points.extend(row)
+            base = _jac_add(*row[-1], *base, p)  # 16 * base
+        affine = _batch_to_affine(points, p)
+        return [affine[i : i + 15] for i in range(0, len(affine), 15)]
 
 
 CURVE_P256 = Curve(
@@ -116,13 +154,25 @@ class ECPoint:
         return ECPoint(self.curve, x3, y3)
 
     def __mul__(self, scalar: int) -> "ECPoint":
-        """Scalar multiplication via Jacobian double-and-add."""
-        if scalar < 0:
-            return (-self) * (-scalar)
-        scalar %= self.curve.n
+        """Scalar multiplication: fixed-base comb for the generator, wNAF otherwise.
+
+        The curve group has prime order ``n``, so reducing the scalar mod
+        ``n`` also handles negative scalars: ``(-k)·P == (n - k)·P``.
+        """
+        curve = self.curve
+        scalar %= curve.n
         if scalar == 0 or self.is_infinity:
-            return ECPoint.infinity(self.curve)
-        return _jacobian_multiply(self, scalar)
+            return ECPoint.infinity(curve)
+        p = curve.p
+        if self.x == curve.gx and self.y == curve.gy:
+            x, y, z = _comb_multiply(curve._comb_table, scalar, p)
+        else:
+            x, y, z = _wnaf_multiply(self.x, self.y, scalar, p)
+        if z == 0:
+            return ECPoint.infinity(curve)
+        z_inv = pow(z, -1, p)
+        z_inv2 = z_inv * z_inv % p
+        return ECPoint(curve, x * z_inv2 % p, y * z_inv2 * z_inv % p)
 
     __rmul__ = __mul__
 
@@ -146,44 +196,124 @@ class ECPoint:
         return cls(curve, x, y)
 
 
-def _jacobian_multiply(point: ECPoint, scalar: int) -> ECPoint:
-    """Left-to-right double-and-add in Jacobian coordinates.
+# Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is
+# infinity. The kernels look the group operations up as module globals on
+# every call, which lets the tests count additions and doublings.
 
-    Avoids a modular inversion per group operation; a single inversion
-    converts the result back to affine coordinates at the end.
+
+def _comb_multiply(
+    table: list[list[tuple[int, int]]], scalar: int, p: int
+) -> tuple[int, int, int]:
+    """``scalar·G`` as one mixed addition per nonzero 4-bit window."""
+    x, y, z = 0, 1, 0
+    for row in table:
+        digit = scalar & 15
+        if digit:
+            x, y, z = _jac_add_affine(x, y, z, *row[digit - 1], p)
+        scalar >>= 4
+    return x, y, z
+
+
+def _wnaf_multiply(px: int, py: int, scalar: int, p: int) -> tuple[int, int, int]:
+    """``scalar·P`` for an affine ``P`` by width-5 wNAF, most significant digit first."""
+    twice = _jac_double(px, py, 1, p)
+    odd = [(px, py, 1)]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        odd.append(_jac_add(*odd[-1], *twice, p))
+    odd = _batch_to_affine(odd, p)  # odd[i] == (2i + 1)·P
+    digits = _wnaf(scalar)
+    x, y = odd[digits.pop() >> 1]  # the top digit is positive
+    z = 1
+    for digit in reversed(digits):
+        x, y, z = _jac_double(x, y, z, p)
+        if digit > 0:
+            x, y, z = _jac_add_affine(x, y, z, *odd[digit >> 1], p)
+        elif digit < 0:
+            tx, ty = odd[-digit >> 1]
+            x, y, z = _jac_add_affine(x, y, z, tx, p - ty, p)
+    return x, y, z
+
+
+def _wnaf(scalar: int) -> list[int]:
+    """Width-5 non-adjacent form of ``scalar > 0``, least significant digit first.
+
+    Digits are 0 or odd in ``[-15, 15]``, and any two nonzero digits are at
+    least five positions apart.
     """
-    curve = point.curve
-    p = curve.p
-    a = curve.a % p
-    # Jacobian (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z == 0 encodes infinity.
-    rx, ry, rz = 0, 1, 0
-    qx, qy, qz = point.x, point.y, 1
-    for bit in bin(scalar)[2:]:
-        rx, ry, rz = _jac_double(rx, ry, rz, p, a)
-        if bit == "1":
-            rx, ry, rz = _jac_add(rx, ry, rz, qx, qy, qz, p, a)
-    if rz == 0:
-        return ECPoint.infinity(curve)
-    z_inv = pow(rz, -1, p)
-    z_inv2 = z_inv * z_inv % p
-    return ECPoint(curve, rx * z_inv2 % p, ry * z_inv2 * z_inv % p)
+    window = 1 << _WNAF_WIDTH
+    digits = []
+    while scalar:
+        digit = 0
+        if scalar & 1:
+            digit = scalar & (window - 1)
+            if digit >= window >> 1:
+                digit -= window
+            scalar -= digit
+        digits.append(digit)
+        scalar >>= 1
+    return digits
 
 
-def _jac_double(x: int, y: int, z: int, p: int, a: int) -> tuple[int, int, int]:
+def _batch_to_affine(points: list[tuple[int, int, int]], p: int) -> list[tuple[int, int]]:
+    """Affine forms of finite Jacobian points with one shared inversion."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % p
+    inv = pow(acc, -1, p)
+    affine = [(0, 0)] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        z_inv = inv * prefix[i] % p
+        inv = inv * z % p
+        z_inv2 = z_inv * z_inv % p
+        affine[i] = (x * z_inv2 % p, y * z_inv2 * z_inv % p)
+    return affine
+
+
+def _jac_double(x: int, y: int, z: int, p: int) -> tuple[int, int, int]:
+    """Jacobian doubling for a = -3 (dbl-2001-b)."""
     if z == 0 or y == 0:
         return (0, 1, 0)
-    ysq = y * y % p
-    s = 4 * x * ysq % p
-    m = (3 * x * x + a * z * z % p * z % p * z) % p
-    nx = (m * m - 2 * s) % p
-    ny = (m * (s - nx) - 8 * ysq * ysq) % p
+    delta = z * z % p
+    gamma = y * y % p
+    beta = x * gamma % p
+    alpha = 3 * (x - delta) * (x + delta) % p
+    nx = (alpha * alpha - 8 * beta) % p
+    ny = (alpha * (4 * beta - nx) - 8 * gamma * gamma) % p
     nz = 2 * y * z % p
     return (nx, ny, nz)
 
 
-def _jac_add(
-    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, p: int, a: int
+def _jac_add_affine(
+    x1: int, y1: int, z1: int, x2: int, y2: int, p: int
 ) -> tuple[int, int, int]:
+    """Jacobian plus affine ``(x2, y2)``: the mixed addition both kernels loop on."""
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1sq = z1 * z1 % p
+    u2 = x2 * z1sq % p
+    s2 = y2 * z1sq % p * z1 % p
+    h = (u2 - x1) % p
+    r = (s2 - y1) % p
+    if h == 0:
+        if r:
+            return (0, 1, 0)
+        return _jac_double(x1, y1, z1, p)
+    hsq = h * h % p
+    hcu = hsq * h % p
+    v = x1 * hsq % p
+    nx = (r * r - hcu - 2 * v) % p
+    ny = (r * (v - nx) - y1 * hcu) % p
+    nz = z1 * h % p
+    return (nx, ny, nz)
+
+
+def _jac_add(
+    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, p: int
+) -> tuple[int, int, int]:
+    """General Jacobian addition, used only to build precomputed tables."""
     if z1 == 0:
         return (x2, y2, z2)
     if z2 == 0:
@@ -197,7 +327,7 @@ def _jac_add(
     if u1 == u2:
         if s1 != s2:
             return (0, 1, 0)
-        return _jac_double(x1, y1, z1, p, a)
+        return _jac_double(x1, y1, z1, p)
     h = (u2 - u1) % p
     r = (s2 - s1) % p
     hsq = h * h % p

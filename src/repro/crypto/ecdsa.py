@@ -9,6 +9,7 @@ classic nonce-reuse footgun.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ec import CURVE_P256, Curve, ECPoint
@@ -44,10 +45,14 @@ class EcdsaPublicKey:
         return self.point.curve
 
     def verify(self, message: bytes, signature: EcdsaSignature) -> bool:
-        """Return ``True`` iff ``signature`` is valid for ``message``."""
+        """Return ``True`` iff ``signature`` is valid for ``message``.
+
+        The point at infinity is never a valid key: with ``Q = O`` the pair
+        ``(x(k·G), e·k^-1)`` would verify for any message.
+        """
         n = self.curve.n
         r, s = signature.r, signature.s
-        if not (1 <= r < n and 1 <= s < n):
+        if self.point.is_infinity or not (1 <= r < n and 1 <= s < n):
             return False
         e = _hash_to_int(message, n)
         w = pow(s, -1, n)
@@ -63,7 +68,11 @@ class EcdsaPublicKey:
 
     @classmethod
     def decode(cls, data: bytes, curve: Curve = CURVE_P256) -> "EcdsaPublicKey":
-        return cls(ECPoint.decode(curve, data))
+        """Decode a key, rejecting the point at infinity with ``ValueError``."""
+        point = ECPoint.decode(curve, data)
+        if point.is_infinity:
+            raise ValueError("ECDSA public key is the point at infinity")
+        return cls(point)
 
     def fingerprint(self) -> bytes:
         """A stable 32-byte identifier for this key."""
@@ -84,6 +93,11 @@ class EcdsaPrivateKey:
         return cls(d, curve)
 
     def public_key(self) -> EcdsaPublicKey:
+        return self._public_key
+
+    @cached_property
+    def _public_key(self) -> EcdsaPublicKey:
+        # Computed once per key; not a field, so equality and hashing ignore it.
         return EcdsaPublicKey(self.d * self.curve.generator)
 
     def sign(self, message: bytes) -> EcdsaSignature:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ec import CURVE_P256
+from repro.crypto.ec import CURVE_P256, ECPoint
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
+
+from tests.crypto.ec_reference import infinity_key_forgery
 
 # RFC 6979 appendix A.2.5 (P-256, SHA-256) test key.
 RFC6979_D = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
@@ -84,3 +86,23 @@ def test_fingerprint_is_stable_and_distinct(key):
     assert pub.fingerprint() == pub.fingerprint()
     other = EcdsaPrivateKey.generate(HmacDrbg(seed=b"another")).public_key()
     assert pub.fingerprint() != other.fingerprint()
+
+
+def test_decode_rejects_point_at_infinity():
+    with pytest.raises(ValueError, match="infinity"):
+        EcdsaPublicKey.decode(b"\x00")
+
+
+def test_infinity_key_verifies_no_signature():
+    # Without the check, (x(k*G), e/k) is a universal forgery for this key.
+    infinity_key = EcdsaPublicKey(ECPoint.infinity(CURVE_P256))
+    for message in (b"sample", b"any message at all"):
+        assert not infinity_key.verify(message, infinity_key_forgery(message))
+
+
+def test_public_key_is_cached_and_outside_equality(key):
+    assert key.public_key() is key.public_key()
+    fresh = EcdsaPrivateKey(key.d)
+    assert fresh == key and hash(fresh) == hash(key)
+    assert fresh.public_key() == key.public_key()
+    assert fresh.public_key().point == key.d * CURVE_P256.generator

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaSignature
+from repro.crypto.ec import CURVE_P256, ECPoint
+from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.errors import TLSError
 from repro.tls.cert import Certificate, CertificateAuthority, make_server_identity
+
+from tests.crypto.ec_reference import infinity_key_forgery
+from tests.tls.conftest import connect_pair
 
 
 @pytest.fixture
@@ -92,3 +96,26 @@ def test_decode_rejects_trailing_bytes(ca):
     _, cert = make_server_identity(ca, "t", seed=b"t")
     with pytest.raises(TLSError):
         Certificate.decode(cert.encode() + b"extra")
+
+
+class _InfinityKeyForger:
+    """Stands in for a server key: signs whatever it is asked to."""
+
+    def sign(self, message: bytes) -> EcdsaSignature:
+        return infinity_key_forgery(message)
+
+
+def _infinity_key_cert(ca):
+    # A CA signs whatever key a subject submits, including the encoding 00.
+    return ca.issue("service.example", EcdsaPublicKey(ECPoint.infinity(CURVE_P256)))
+
+
+def test_certificate_with_infinity_key_rejected(ca):
+    with pytest.raises(ValueError, match="infinity"):
+        Certificate.decode(_infinity_key_cert(ca).encode())
+
+
+def test_handshake_with_infinity_key_certificate_rejected(ca):
+    # Were the 00 key accepted, the forged ServerKeyExchange would verify.
+    with pytest.raises(TLSError, match="infinity"):
+        connect_pair(ca, (_InfinityKeyForger(), _infinity_key_cert(ca)))
