@@ -32,8 +32,10 @@ steps:
 After a crash, :meth:`resume` replays the surviving intent through the
 same steps; each is guarded (``current_epoch`` check, ``has_event``,
 re-seal, re-announce) so replay converges on exactly one active epoch
-no matter where the crash hit. The ``rotation.step`` fault site lets
-the chaos suite inject a crash between any two steps.
+no matter where the crash hit. The WAL write, the ``rotation.step``
+crash point after it and after every step, and the replay are the
+shared :class:`~repro.audit.wal.WriteAheadCoordinator`; this module
+declares only the steps and the policy around them.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit.hashchain import RotationIntent
-from repro.faults import hooks as _faults
+from repro.audit.wal import WriteAheadCoordinator
 from repro.obs import hooks as _obs
-from repro.sgx.sealing import EpochState
-
-#: ``rotation.step`` fault-site checks per rotation: one after the WAL
-#: write, one after each of steps 2-6.
-ROTATION_CHECKPOINTS = 6
 
 #: The fault site the chaos suite injects crashes at.
 FAULT_SITE = "rotation.step"
@@ -66,6 +63,8 @@ class RotationReport:
     acks: dict[int, int] = field(default_factory=dict)
     #: Epochs retired by this pass (empty while the grace window holds).
     retired: list[int] = field(default_factory=list)
+    #: The WAL entry was cleared: nothing is left to replay.
+    completed: bool = False
 
     @property
     def converged(self) -> bool:
@@ -86,13 +85,15 @@ class RotationReport:
         return " ".join(bits)
 
 
-class KeyRotationCoordinator:
+class KeyRotationCoordinator(WriteAheadCoordinator):
     """Drives epochal key rotation for one LibSeal instance."""
+
+    INTENT = RotationIntent
+    FAULT_SITE = FAULT_SITE
+    SPAN = "audit.rotation"
 
     def __init__(self, libseal) -> None:
         self.libseal = libseal
-        self.rotations_started = 0
-        self.rotations_resumed = 0
 
     # The coordinator reads its collaborators through the LibSeal
     # instance on every access: crash recovery replaces the audit log,
@@ -115,7 +116,11 @@ class KeyRotationCoordinator:
         return self.libseal.audit_log
 
     @property
-    def log_id(self) -> str:
+    def signing_key(self):
+        return self.libseal.signing_key
+
+    @property
+    def owner(self) -> str:
         return self.libseal.config.log_id
 
     # ------------------------------------------------------------------
@@ -125,36 +130,7 @@ class KeyRotationCoordinator:
     def rotate(self, reason: str = "scheduled") -> RotationReport:
         """Rotate to a fresh epoch, end to end (WAL write first)."""
         from_epoch = self.authority.current_epoch
-        intent = RotationIntent.sign(
-            self.libseal.signing_key,
-            self.log_id,
-            from_epoch,
-            from_epoch + 1,
-            reason,
-        )
-        self.storage.save_intent(intent.encode(), RotationIntent.SIDECAR)
-        self.rotations_started += 1
-        _faults.crash_point(FAULT_SITE)
-        return self._run(intent)
-
-    def resume(self) -> RotationReport | None:
-        """Replay a rotation whose WAL entry survived a crash.
-
-        Returns None when no (valid) rotation was in flight. A forged or
-        corrupt intent is discarded — it buys the adversary nothing: the
-        worst outcome is that a genuine in-flight rotation is re-issued
-        by the operator.
-        """
-        intent = RotationIntent.load_sidecar(
-            self.storage,
-            self.libseal.signing_key.public_key(),
-            self.log_id,
-            on_invalid=self._clear_wal,
-        )
-        if intent is None:
-            return None
-        self.rotations_resumed += 1
-        return self._run(intent, resumed=True)
+        return self._start(self.owner, from_epoch, from_epoch + 1, reason)
 
     def finish(self, force: bool = False) -> list[int]:
         """Retire grace-window epochs once the group no longer needs them.
@@ -172,70 +148,69 @@ class KeyRotationCoordinator:
                 epoch < current for epoch in acks.values()
             ):
                 return []
-        retired = []
-        for epoch, entry in sorted(self.authority.epochs.items()):
-            if entry.state is EpochState.GRACE:
-                self.authority.retire(epoch)
-                retired.append(epoch)
-        return retired
+        return self.authority.retire_grace()
 
     # ------------------------------------------------------------------
-    # The idempotent step sequence
+    # The idempotent step sequence (step 1 is the WAL write)
     # ------------------------------------------------------------------
 
-    def _clear_wal(self) -> None:
-        self.storage.clear_intent(RotationIntent.SIDECAR)
-
-    def _run(self, intent: RotationIntent, resumed: bool = False) -> RotationReport:
-        report = RotationReport(
+    def _report(self, intent: RotationIntent, resumed: bool) -> RotationReport:
+        return RotationReport(
             from_epoch=intent.from_epoch,
             to_epoch=intent.to_epoch,
             reason=intent.reason,
             resumed=resumed,
         )
-        with _obs.span("audit.rotation") as obs_span:
-            # Step 2: advance the key registry (guard: already advanced).
-            if self.authority.current_epoch < intent.to_epoch:
-                self.authority.rotate(intent.reason)
-            _faults.crash_point(FAULT_SITE)
 
-            # Step 3: the rotation becomes part of the audited history.
-            detail = (
-                f"epoch {intent.from_epoch}->{intent.to_epoch}: {intent.reason}"
-            )
-            if not self.audit_log.has_event("key_rotation", detail):
-                self.audit_log.append_event("key_rotation", detail)
-            _faults.crash_point(FAULT_SITE)
+    def _advance_registry(self, intent, report) -> None:
+        """Step 2: advance the key registry (guard: already advanced)."""
+        if self.authority.current_epoch < intent.to_epoch:
+            self.authority.rotate(intent.reason)
 
-            # Step 4: re-seal the log snapshot under the new epoch. An
-            # availability fault defers the re-seal (degraded mode), it
-            # does not abort the rotation — the WAL survives until done.
-            report.log_resealed = self.libseal._try_seal()
-            _faults.crash_point(FAULT_SITE)
+    def _record_rotation(self, intent, report) -> None:
+        """Step 3: the rotation becomes part of the audited history."""
+        detail = f"epoch {intent.from_epoch}->{intent.to_epoch}: {intent.reason}"
+        if not self.audit_log.has_event("key_rotation", detail):
+            self.audit_log.append_event("key_rotation", detail)
 
-            # Step 5: replicas adopt the epoch and re-seal their state.
-            report.acks = self.cluster.announce_epoch()
-            _faults.crash_point(FAULT_SITE)
+    def _reseal_log(self, intent, report) -> None:
+        """Step 4: re-seal the log snapshot under the new epoch. An
+        availability fault defers the re-seal (degraded mode), it does
+        not abort the rotation — the WAL survives until done."""
+        report.log_resealed = self.libseal._try_seal()
 
-            # Step 6: retire the old lineage only once the whole group
-            # is across; otherwise the grace window keeps it verifiable.
-            if len(report.acks) == self.cluster.n and report.converged:
-                report.retired = self.finish(force=True)
-            _faults.crash_point(FAULT_SITE)
+    def _announce(self, intent, report) -> None:
+        """Step 5: replicas adopt the epoch and re-seal their state."""
+        report.acks = self.cluster.announce_epoch()
 
-            if report.log_resealed:
-                self._clear_wal()
-            if _obs.ON:
-                _obs.active().metrics.counter(
-                    "key_rotation_runs_total",
-                    "Rotation coordinator passes",
-                    resumed=str(resumed).lower(),
-                ).inc()
-                if obs_span is not None:
-                    obs_span.set_attr("to_epoch", intent.to_epoch)
-                    obs_span.set_attr("acks", len(report.acks))
-        return report
+    def _retire_old(self, intent, report) -> None:
+        """Step 6: retire the old lineage only once the whole group is
+        across; otherwise the grace window keeps it verifiable."""
+        if len(report.acks) == self.cluster.n and report.converged:
+            report.retired = self.finish(force=True)
 
-    def reseal_pending(self) -> bool:
-        """Whether a rotation WAL entry is still outstanding."""
-        return self.storage.load_intent(RotationIntent.SIDECAR) is not None
+    STEPS = (
+        _advance_registry,
+        _record_rotation,
+        _reseal_log,
+        _announce,
+        _retire_old,
+    )
+
+    def _may_clear(self, report: RotationReport) -> bool:
+        return report.log_resealed
+
+    def _observe(self, report: RotationReport, obs_span) -> None:
+        _obs.active().metrics.counter(
+            "key_rotation_runs_total",
+            "Rotation coordinator passes",
+            resumed=str(report.resumed).lower(),
+        ).inc()
+        if obs_span is not None:
+            obs_span.set_attr("to_epoch", report.to_epoch)
+            obs_span.set_attr("acks", len(report.acks))
+
+
+#: ``rotation.step`` fault-site checks per rotation: one after the WAL
+#: write, one after each of steps 2-6.
+ROTATION_CHECKPOINTS = 1 + len(KeyRotationCoordinator.STEPS)

@@ -66,7 +66,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.sgx.ratls import BINDING_ROTE_JOIN, AttestationPlane, make_node_enclave
-from repro.sgx.sealing import EpochState
 from repro.faults import hooks as _faults
 from repro.obs import hooks as _obs
 from repro.sgx.sealing import SigningAuthority
@@ -181,8 +180,7 @@ class RoteCluster:
 
     def _keyring(self, epoch: int) -> bytes | None:
         """Verifier keyring: keys for usable epochs, None once retired."""
-        state = self.authority.epoch_state(epoch)
-        if state is None or state is EpochState.RETIRED:
+        if not self.authority.usable(epoch):
             return None
         return self.authority.derive_group_key(self.cluster_id.encode(), epoch)
 

@@ -453,8 +453,7 @@ class RoteReplica:
         """
         if self.pinned is not None and epoch > self.pinned:
             return None
-        state = self.authority.epoch_state(epoch)
-        if state not in (EpochState.ACTIVE, EpochState.GRACE):
+        if not self.authority.usable(epoch):
             return None
         return self.authority.derive_group_key(self.cluster_id.encode(), epoch)
 
@@ -682,10 +681,7 @@ class RoteReplica:
 
     def _merge_catchup(self, message: CatchupReply) -> None:
         for att in message.attestations:
-            if self.authority.epoch_state(att.epoch) not in (
-                EpochState.ACTIVE,
-                EpochState.GRACE,
-            ):
+            if not self.authority.usable(att.epoch):
                 # A retired/unknown epoch in a catch-up reply is a
                 # pre-rotation replay, not merely unverifiable material:
                 # count it so the rotation metric covers the catch-up

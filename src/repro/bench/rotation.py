@@ -21,7 +21,11 @@ from __future__ import annotations
 import time
 
 from repro.audit.persistence import InMemoryStorage
-from repro.audit.rotation import ROTATION_CHECKPOINTS, KeyRotationCoordinator
+from repro.audit.rotation import (
+    FAULT_SITE,
+    ROTATION_CHECKPOINTS,
+    KeyRotationCoordinator,
+)
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
@@ -59,18 +63,13 @@ def _drive(libseal: LibSeal, pairs: int) -> None:
 def _unsealable_blobs(libseal: LibSeal) -> int:
     """Blobs on disk that the current key registry can no longer open."""
     authority = libseal.rote.authority
-    usable = (EpochState.ACTIVE, EpochState.GRACE)
-    stranded = 0
-    for replica in libseal.rote.nodes:
-        if replica.sealed_state is None:
-            continue
-        if authority.epoch_state(SealedBlob.decode(replica.sealed_state).epoch) not in usable:
-            stranded += 1
-    raw = libseal.storage.inner._blob
-    if raw is not None:
-        if authority.epoch_state(SealedBlob.decode(raw).epoch) not in usable:
-            stranded += 1
-    return stranded
+    blobs = [replica.sealed_state for replica in libseal.rote.nodes]
+    blobs.append(libseal.storage.inner._blob)
+    return sum(
+        1
+        for raw in blobs
+        if raw is not None and not authority.usable(SealedBlob.decode(raw).epoch)
+    )
 
 
 def rotation_lifecycle(
@@ -134,7 +133,7 @@ def rotation_wal_replay(seed: int = 11) -> list[dict]:
         libseal, coordinator = _build(seed=seed)
         _drive(libseal, 3)
         plan = FaultPlan(
-            [FaultEvent("rotation.step", "crash", at=step)],
+            [FaultEvent(FAULT_SITE, "crash", at=step)],
             scenario=f"bench-rotation-crash-{step}",
         )
         crashed = False
@@ -159,7 +158,7 @@ def rotation_wal_replay(seed: int = 11) -> list[dict]:
                 "replayed": report is not None,
                 "active_epochs": len(active),
                 "final_epoch": authority.current_epoch,
-                "wal_cleared": not coordinator.reseal_pending(),
+                "wal_cleared": not coordinator.pending(),
                 "unsealable_blobs": _unsealable_blobs(libseal),
                 "replay_ms": replay_ms,
             }

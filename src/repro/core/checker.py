@@ -193,11 +193,6 @@ class InvariantChecker:
             plan = classify_invariant(sql, audit_log.db)
             self._states.append(_InvariantState(name, sql, statement, plan))
 
-    @property
-    def decompositions(self) -> dict[str, Decomposition]:
-        """Classification verdict per invariant name."""
-        return {state.name: state.plan for state in self._states}
-
     def run_checks(self, force_full: bool = False) -> CheckOutcome:
         """Execute every invariant; returns all violating rows.
 

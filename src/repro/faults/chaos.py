@@ -27,17 +27,23 @@ Everything is deterministic: the scenario script, the network, the lie
 models and the workload all derive from the scenario seed, and each run
 emits an event trace whose SHA-256 digest must be identical across runs
 of the same seed — the acceptance gate CI enforces.
+
+Every family is one row of :data:`FAMILY_TABLE`: its description, its
+script, its optional fault plan and the harness that runs it. The ROTE
+families run under :class:`ChaosHarness`, the ``shard-*`` families under
+:class:`~repro.faults.chaos_shard.ShardChaosHarness`; both share the
+:class:`~repro.faults.harness.ScenarioHarness` skeleton.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from repro.audit.log import AuditLog
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.recovery import DETECTED_OUTCOMES, recover_log
+from repro.audit.rotation import FAULT_SITE as ROTATION_SITE
 from repro.audit.rotation import ROTATION_CHECKPOINTS, KeyRotationCoordinator
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import (
@@ -49,7 +55,6 @@ from repro.audit.rote_replica import (
 )
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
-from repro.crypto.hashing import sha256_hex
 from repro.errors import (
     AuditBufferFullError,
     IntegrityError,
@@ -57,7 +62,8 @@ from repro.errors import (
     RollbackError,
     SimulationError,
 )
-from repro.faults import hooks as _faults
+from repro.faults.chaos_shard import ShardChaosHarness
+from repro.faults.harness import ChaosScenario, ScenarioHarness, ScenarioVerdict
 from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
 from repro.sgx.ratls import (
     BINDING_ROTE_JOIN,
@@ -68,61 +74,11 @@ from repro.sgx.ratls import (
 )
 from repro.sgx.attestation import Quote
 from repro.sgx.sealing import EpochState, SealedBlob, SigningAuthority
+from repro.shard.rebalance import FAULT_SITE as SHARD_SITE
+from repro.shard.rebalance import SHARD_CHECKPOINTS
 from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
 from repro.workloads.messaging_traffic import MessagingWorkload
-
-#: Every chaos family with its one-line description. This mapping is the
-#: single source of truth: ``FAMILIES`` derives from it, ``python -m
-#: repro chaos --list-families`` prints it, and the README's family table
-#: is generated from it (and checked for drift in CI).
-FAMILY_DESCRIPTIONS = {
-    "partition-minority":
-        "Partition f replicas away; the quorum keeps serving throughout.",
-    "partition-majority":
-        "Partition a majority away; pairs block explicitly, then heal.",
-    "restart-storm":
-        "Crash/restart waves across replicas; sealed state resumes exactly.",
-    "restart-mid-increment":
-        "Kill a replica between quorum rounds of a live counter increment.",
-    "byzantine":
-        "Equivocating replicas lie about counters; quorum certification holds.",
-    "message-storm":
-        "Loss, duplication and reorder on every link; retries stay exact.",
-    "kitchen-sink":
-        "Partitions, restarts, lies and storms stacked in one scenario.",
-    "rotation-crash":
-        "Crash the key-rotation WAL at a random checkpoint; replay converges.",
-    "rotation-stale-replica":
-        "Strand f+1 replicas on a pre-rotation build; degrade, then retire.",
-    "rotation-byzantine-replay":
-        "Replay retired-epoch counter claims; every one is rejected.",
-    "attest-forged-join":
-        "Forged/replayed join evidence probes every admission gate.",
-    "attest-outage-restart":
-        "Attestation outage during a rejoin; catch-up stays fail-closed.",
-    "attest-revoked-tcb":
-        "TCB revocation mid-run evicts and discounts the revoked replica.",
-    "shard-split-crash":
-        "Crash a shard split at every rebalance checkpoint; WAL replay "
-        "converges to one owner per range.",
-    "shard-merge-stale":
-        "Merge a shard stranded on a retired epoch; the change fails "
-        "closed, degrades, and never rolls back claims.",
-    "shard-rebalance-byzantine":
-        "An old owner keeps answering for a migrated range and replays "
-        "its transfer; both are dropped and counted.",
-}
-
-FAMILIES = tuple(FAMILY_DESCRIPTIONS)
-
-
-def family_table_markdown() -> str:
-    """The README's chaos-family table, generated so it cannot drift."""
-    lines = ["| Family | What it proves |", "| --- | --- |"]
-    for family, description in FAMILY_DESCRIPTIONS.items():
-        lines.append(f"| `{family}` | {description} |")
-    return "\n".join(lines)
 
 #: Attestation-plane knobs for the ``attest-*`` families: evidence stays
 #: fresh for minutes (joins re-quote anyway), while cached verification
@@ -149,53 +105,6 @@ CHAOS_MAX_UNSEALED = 8
 #: Snapshots retained per run as stale-head probe material.
 SNAPSHOT_LIMIT = 4
 
-
-@dataclass
-class ChaosScenario:
-    """One seeded scenario: a family, its script, and its knobs."""
-
-    family: str
-    seed: int
-    f: int = 1
-    actions: tuple = ()
-    plan: FaultPlan | None = None
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}/seed-{self.seed}"
-
-
-@dataclass
-class ScenarioVerdict:
-    """The oracle's judgement of one scenario run."""
-
-    family: str
-    seed: int
-    ok: bool
-    violations: list[str]
-    pairs_ok: int
-    pairs_blocked: int
-    stale_probes: int
-    recovered_in: int | None
-    head_counter: int
-    trace_digest: str
-    network: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": f"{self.family}/seed-{self.seed}",
-            "family": self.family,
-            "seed": self.seed,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "pairs_ok": self.pairs_ok,
-            "pairs_blocked": self.pairs_blocked,
-            "stale_probes": self.stale_probes,
-            "recovered_in": self.recovered_in,
-            "head_counter": self.head_counter,
-            "trace_digest": self.trace_digest,
-            "network": dict(self.network),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +195,8 @@ def _script_restart_storm(rng: random.Random, f: int, n: int) -> list:
 
 def _script_restart_mid_increment(rng: random.Random, f: int, n: int) -> list:
     # The crash/recover pair is scheduled on the rote.round fault site
-    # (see _build_plan), firing between quorum rounds of one operation.
+    # (see _plan_restart_mid_increment), firing between quorum rounds of
+    # one operation.
     return [
         ("pairs", rng.randint(6, 9)),
         ("probe_stale",),
@@ -349,7 +259,7 @@ def _script_kitchen_sink(rng: random.Random, f: int, n: int) -> list:
 
 def _script_rotation_crash(rng: random.Random, f: int, n: int) -> list:
     # The crash is scheduled on the rotation.step fault site (see
-    # _build_plan): it fires between two steps of the coordinator's WAL
+    # _crash_plan): it fires between two steps of the coordinator's WAL
     # sequence, and the resume must replay to exactly one active epoch.
     return [
         ("pairs", rng.randint(3, 5)),
@@ -551,105 +461,66 @@ def _script_shard_rebalance_byzantine(rng: random.Random, f: int, n: int) -> lis
     ]
 
 
-_BUILDERS = {
-    "partition-minority": _script_partition_minority,
-    "partition-majority": _script_partition_majority,
-    "restart-storm": _script_restart_storm,
-    "restart-mid-increment": _script_restart_mid_increment,
-    "byzantine": _script_byzantine,
-    "message-storm": _script_message_storm,
-    "kitchen-sink": _script_kitchen_sink,
-    "rotation-crash": _script_rotation_crash,
-    "rotation-stale-replica": _script_rotation_stale_replica,
-    "rotation-byzantine-replay": _script_rotation_byzantine_replay,
-    "attest-forged-join": _script_attest_forged_join,
-    "attest-outage-restart": _script_attest_outage_restart,
-    "attest-revoked-tcb": _script_attest_revoked_tcb,
-    "shard-split-crash": _script_shard_split_crash,
-    "shard-merge-stale": _script_shard_merge_stale,
-    "shard-rebalance-byzantine": _script_shard_rebalance_byzantine,
-}
-
-
-def _build_plan(family: str, rng: random.Random, f: int, n: int) -> FaultPlan | None:
-    if family == "restart-mid-increment":
-        victim = rng.randrange(n)
-        # Visits are counted per quorum round, so both events land inside
-        # the first batch of pairs: the crash fires between rounds of a
-        # live operation, the restart a couple of rounds later.
-        at = rng.randint(2, 5)
-        return FaultPlan(
-            [
-                FaultEvent("rote.round", "node_crash", at=at,
-                           params={"node": victim}),
-                FaultEvent("rote.round", "node_recover",
-                           at=at + rng.randint(1, 2), params={"node": victim}),
-            ],
-            seed=rng.randint(0, 2**31),
-            scenario=family,
-        )
-    if family == "rotation-crash":
-        return FaultPlan(
-            [
-                FaultEvent(
-                    "rotation.step", "crash",
-                    at=rng.randint(1, ROTATION_CHECKPOINTS),
-                ),
-            ],
-            seed=rng.randint(0, 2**31),
-            scenario=family,
-        )
-    if family == "shard-split-crash":
-        from repro.shard.rebalance import SHARD_CHECKPOINTS
-
-        return FaultPlan(
-            [
-                FaultEvent(
-                    "shard.step", "crash",
-                    at=rng.randint(1, SHARD_CHECKPOINTS),
-                ),
-            ],
-            seed=rng.randint(0, 2**31),
-            scenario=family,
-        )
-    return None
-
-
-def build_scenario(family: str, seed: int, f: int = 1) -> ChaosScenario:
-    if family not in _BUILDERS:
-        raise SimulationError(f"unknown chaos family {family!r}; one of {FAMILIES}")
-    rng = _rng(family, seed)
-    n = 3 * f + 1
-    actions = tuple(_BUILDERS[family](rng, f, n))
-    plan = _build_plan(family, rng, f, n)
-    return ChaosScenario(family=family, seed=seed, f=f, actions=actions, plan=plan)
-
 
 # ----------------------------------------------------------------------
-# The harness + oracle
+# Fault plans (drawn from the scenario RNG after the script)
 # ----------------------------------------------------------------------
 
 
-class ChaosHarness:
-    """Runs one scenario and judges it after every step."""
+def _plan_restart_mid_increment(
+    family: str, rng: random.Random, f: int, n: int
+) -> FaultPlan:
+    victim = rng.randrange(n)
+    # Visits are counted per quorum round, so both events land inside
+    # the first batch of pairs: the crash fires between rounds of a
+    # live operation, the restart a couple of rounds later.
+    at = rng.randint(2, 5)
+    return FaultPlan(
+        [
+            FaultEvent("rote.round", "node_crash", at=at,
+                       params={"node": victim}),
+            FaultEvent("rote.round", "node_recover",
+                       at=at + rng.randint(1, 2), params={"node": victim}),
+        ],
+        seed=rng.randint(0, 2**31),
+        scenario=family,
+    )
+
+
+def _crash_plan(site: str, checkpoints: int) -> Callable[..., FaultPlan]:
+    """A plan that crashes a write-ahead procedure at ``site`` on one
+    random checkpoint of its ``checkpoints``."""
+
+    def plan(family: str, rng: random.Random, f: int, n: int) -> FaultPlan:
+        return FaultPlan(
+            [FaultEvent(site, "crash", at=rng.randint(1, checkpoints))],
+            seed=rng.randint(0, 2**31),
+            scenario=family,
+        )
+
+    return plan
+
+
+# ----------------------------------------------------------------------
+# The ROTE harness + oracle
+# ----------------------------------------------------------------------
+
+
+class ChaosHarness(ScenarioHarness):
+    """Runs one ROTE-path scenario and judges it after every step."""
 
     PARTITION_NAME = "wan-split"
 
     def __init__(self, scenario: ChaosScenario):
-        if scenario.family.startswith("shard-"):
-            raise SimulationError(
-                "shard-* families run under ShardChaosHarness "
-                "(repro.faults.chaos_shard)"
-            )
-        self.scenario = scenario
+        super().__init__(scenario)
+        family = FAMILY_TABLE[scenario.family]
         self.network = SimNetwork(
             seed=scenario.seed, latency_steps=1, jitter_steps=1
         )
         # Attestation families run the cluster in attested mode: every
         # member is admitted by verified quote-backed evidence, through
         # a plane whose service/clock the scenario script can break.
-        self.attested = scenario.family.startswith("attest-")
-        if self.attested:
+        if family.attested:
             authority = SigningAuthority("rote-authority-chaos")
             self.plane = AttestationPlane(
                 authority,
@@ -677,9 +548,8 @@ class ChaosHarness:
         # re-seal pass must migrate the encrypted snapshot, and a
         # retired-epoch blob must fail closed at recovery); the other
         # families keep the plain in-memory snapshot they always had.
-        self.epoch_aware = scenario.family.startswith("rotation-")
         self.storage_inner = InMemoryStorage()
-        if self.epoch_aware:
+        if family.sealed:
             self.log_enclave = make_log_enclave(self.cluster.authority)
             storage = SealedLogStorage(self.storage_inner, self.log_enclave)
         else:
@@ -700,8 +570,6 @@ class ChaosHarness:
             self.libseal, channels=1, members=2, fetch_ratio=0.0,
             seed=scenario.seed,
         )
-        self.trace: list = []
-        self.violations: list[str] = []
         self.crashed: set[int] = set()
         self.partitioned: set[int] = set()
         self.storm = False
@@ -716,21 +584,11 @@ class ChaosHarness:
         self.revoked: set[int] = set()
         self.intruder_address = "chaos/intruder"
         self._intruder_registered = False
-        self.pairs_ok = 0
-        self.pairs_blocked = 0
         self.stale_probes = 0
-        self.recovered_in: int | None = None
         self._head_max = 0
         self._snapshots: list[tuple[int, bytes]] = []
 
     # -- oracle helpers --------------------------------------------------
-
-    def _note(self, *event) -> None:
-        self.trace.append(tuple(event))
-
-    def _violate(self, message: str) -> None:
-        self.violations.append(message)
-        self._note("VIOLATION", message)
 
     def _epoch_stranded(self, i: int) -> bool:
         """A replica pinned on a pre-rotation build is silent for every
@@ -758,7 +616,8 @@ class ChaosHarness:
         head = self.libseal.audit_log.signed_head
         return head.counter_value if head is not None else 0
 
-    def _check_monotonic(self, where: str) -> None:
+    def _check_step(self, where: str) -> None:
+        """Counter monotonicity: the signed head never moves backwards."""
         counter = self._head_counter()
         if counter < self._head_max:
             self._violate(
@@ -778,6 +637,10 @@ class ChaosHarness:
                 del self._snapshots[1:2]
 
     # -- actions ---------------------------------------------------------
+
+    def do_pairs(self, count: int) -> None:
+        for _ in range(count):
+            self._pair()
 
     def _pair(self) -> None:
         try:
@@ -806,7 +669,7 @@ class ChaosHarness:
             # quorum; degradation in a healthy network is an audit bug.
             self._violate("entered degraded mode while quorum was reachable")
 
-    def _partition(self, cut: tuple[int, ...]) -> None:
+    def do_partition(self, cut: tuple[int, ...]) -> None:
         addresses = [self.cluster.nodes[i].address for i in cut]
         rest = [
             a
@@ -820,13 +683,53 @@ class ChaosHarness:
         self.partitioned = set(cut)
         self._note("partition", tuple(cut))
 
-    def _heal(self) -> None:
+    def do_heal(self) -> None:
         self.network.heal(self.PARTITION_NAME)
         self.partitioned = set()
         self.network.settle()
         self._note("heal")
 
-    def _reseal(self) -> None:
+    def do_crash(self, i: int) -> None:
+        self.cluster.crash(i)
+        self.crashed.add(i)
+        self._note("crash", i)
+
+    def do_restart(self, i: int) -> None:
+        self.cluster.recover(i)
+        self.crashed.discard(i)
+        if self.plane is not None:
+            # Rejoining behind a dead attestation service leaves the
+            # replica unable to re-attest anyone — degraded, by design.
+            if self.attest_down:
+                self.unattested.add(i)
+            else:
+                self.unattested.discard(i)
+        self._note("restart", i)
+
+    def do_lie(self, i: int, shape: str) -> None:
+        self.cluster.equivocate(i, shape=shape, seed=self.scenario.seed)
+        self._note("lie", i, shape)
+
+    def do_honest(self, i: int) -> None:
+        self.cluster.set_lie(i, None)
+        self._note("honest", i)
+
+    def do_storm_on(self, loss: float, duplication: float, reorder: float) -> None:
+        self.network.loss = loss
+        self.network.duplication = duplication
+        self.network.reorder = reorder
+        self.storm = True
+        self._note("storm_on", loss, duplication, reorder)
+
+    def do_storm_off(self) -> None:
+        self.network.loss = 0.0
+        self.network.duplication = 0.0
+        self.network.reorder = 0.0
+        self.storm = False
+        self.network.settle()
+        self._note("storm_off")
+
+    def do_reseal(self) -> None:
         """Bounded-liveness recovery: the oracle's liveness clock."""
         if not self.libseal.degraded.active:
             self.recovered_in = 0
@@ -846,7 +749,7 @@ class ChaosHarness:
             "after all faults healed"
         )
 
-    def _probe_stale(self) -> None:
+    def do_probe_stale(self) -> None:
         """Replay an earlier snapshot: AuditLog must refuse the old head."""
         stale = next(
             (
@@ -882,9 +785,31 @@ class ChaosHarness:
             "was accepted by AuditLog verification"
         )
 
+    def do_verify(self) -> None:
+        if self._availability_expected() or self.libseal.degraded.active:
+            self._note("verify", "skipped")
+            return
+        try:
+            self.libseal.verify_log()
+        except RollbackError:
+            self._violate("verify raised RollbackError without tampering")
+            return
+        except QuorumUnavailableError:
+            self._violate("verify found no quorum while network was healthy")
+            return
+        live = self.cluster.retrieve(self.config.log_id)
+        head = self._head_counter()
+        if live != head:
+            self._violate(
+                f"live quorum counter {live} != signed head counter {head} "
+                "after full recovery"
+            )
+            return
+        self._note("verify", "ok", head)
+
     # -- rotation actions + oracle probes --------------------------------
 
-    def _rotate(self, reason: str) -> None:
+    def do_rotate(self, reason: str) -> None:
         """Run the coordinator; an injected crash leaves the WAL behind."""
         try:
             report = self.coordinator.rotate(reason)
@@ -898,7 +823,7 @@ class ChaosHarness:
             len(report.acks), tuple(report.retired),
         )
 
-    def _rotation_resume(self) -> None:
+    def do_rotation_resume(self) -> None:
         """Replay a crashed rotation from its WAL entry (idempotent)."""
         report = self.coordinator.resume()
         if report is None:
@@ -909,7 +834,15 @@ class ChaosHarness:
             len(report.acks), tuple(report.retired),
         )
 
-    def _upgrade(self, i: int) -> None:
+    def do_force_retire(self) -> None:
+        retired = self.coordinator.finish(force=True)
+        self._note("force_retire", tuple(retired))
+
+    def do_pin(self, i: int) -> None:
+        self.cluster.nodes[i].pin()
+        self._note("pin", i, self.cluster.nodes[i].epoch)
+
+    def do_upgrade(self, i: int) -> None:
         """Upgrade a stranded replica's enclave build; audit the event."""
         replica = self.cluster.nodes[i]
         replica.upgrade("rote-counter-2.0")
@@ -918,7 +851,7 @@ class ChaosHarness:
         )
         self._note("upgrade", i, replica.epoch)
 
-    def _probe_recover(self, expected: str) -> None:
+    def do_probe_recover(self, expected: str) -> None:
         """Run crash recovery against a copy of the stored snapshot.
 
         While the quorum is stuck on a retired-epoch fault the outcome
@@ -930,7 +863,7 @@ class ChaosHarness:
         clone._sidecars = dict(self.storage_inner._sidecars)
         storage = (
             SealedLogStorage(clone, self.log_enclave)
-            if self.epoch_aware
+            if self.log_enclave is not None
             else clone
         )
         report = recover_log(
@@ -951,7 +884,7 @@ class ChaosHarness:
                 f"recovery outcome {report.outcome.value}, expected {expected}"
             )
 
-    def _check_epoch(self) -> None:
+    def do_check_epoch(self) -> None:
         """Convergence oracle: one active epoch, no WAL, no stranded blobs."""
         authority = self.cluster.authority
         active = [
@@ -964,32 +897,26 @@ class ChaosHarness:
                 f"epoch registry not converged: active={active}, "
                 f"current={authority.current_epoch}"
             )
-        if self.coordinator.reseal_pending():
+        if self.coordinator.pending():
             self._violate("rotation WAL entry outstanding after convergence")
         stranded = []
         for replica in self.cluster.nodes:
             if replica.sealed_state is None:
                 continue
             blob = SealedBlob.decode(replica.sealed_state)
-            if authority.epoch_state(blob.epoch) not in (
-                EpochState.ACTIVE,
-                EpochState.GRACE,
-            ):
+            if not authority.usable(blob.epoch):
                 stranded.append((replica.node_id, blob.epoch))
         if stranded:
             self._violate(f"unsealable replica blobs after rotation: {stranded}")
-        if self.epoch_aware and self.storage_inner._blob is not None:
+        if self.log_enclave is not None and self.storage_inner._blob is not None:
             blob = SealedBlob.decode(self.storage_inner._blob)
-            if authority.epoch_state(blob.epoch) not in (
-                EpochState.ACTIVE,
-                EpochState.GRACE,
-            ):
+            if not authority.usable(blob.epoch):
                 self._violate(
                     f"sealed log snapshot stranded on epoch {blob.epoch}"
                 )
         self._note("check_epoch", authority.current_epoch, len(authority.epochs))
 
-    def _check_replay(self) -> None:
+    def do_check_replay(self) -> None:
         """Non-vacuousness: pre-rotation replays were actually refused."""
         if self.cluster.retired_rejections == 0:
             self._violate(
@@ -1057,7 +984,7 @@ class ChaosHarness:
             return AttestationEvidence(quote, epoch + 1, now).encode()
         raise SimulationError(f"unknown intruder kind {kind!r}")
 
-    def _intrude(self, kind: str) -> None:
+    def do_intrude(self, kind: str) -> None:
         """The intruder asks everyone (replicas + client) to admit it."""
         self._ensure_intruder()
         evidence = self._intruder_evidence(kind)
@@ -1070,7 +997,7 @@ class ChaosHarness:
         self.network.settle()
         self._note("intrude", kind)
 
-    def _intrude_catchup(self) -> None:
+    def do_intrude_catchup(self) -> None:
         """The intruder probes catch-up both ways: asks replicas for
         their state, and offers a poisoned reply whose attestation is
         MAC-valid under the group key (a leaked-key scenario) — only the
@@ -1094,7 +1021,29 @@ class ChaosHarness:
         self.network.settle()
         self._note("intrude_catchup")
 
-    def _check_intruder(self) -> None:
+    def do_attest_outage(self) -> None:
+        self.plane.service.outage()
+        self.attest_down = True
+        self._note("attest_outage")
+
+    def do_attest_restore(self) -> None:
+        self.plane.service.restore()
+        self.attest_down = False
+        self._note("attest_restore")
+
+    def do_clock_advance(self, seconds: float) -> None:
+        self.plane.clock.advance(seconds)
+        self._note("clock_advance", seconds)
+
+    def do_tcb_revoke(self, i: int) -> None:
+        address = self.cluster.nodes[i].address
+        self.plane.service.set_tcb_status(
+            self.plane.platform(address).platform_id, "revoked"
+        )
+        self.revoked.add(i)
+        self._note("tcb_revoke", i)
+
+    def do_check_intruder(self) -> None:
         """Non-vacuousness: every intrusion was counted, none landed."""
         gates = [self.cluster.admission] + [
             r.admission for r in self.cluster.nodes
@@ -1132,7 +1081,7 @@ class ChaosHarness:
             )
         self._note("check_intruder", rejections, drops)
 
-    def _check_outage(self, i: int) -> None:
+    def do_check_outage(self, i: int) -> None:
         """Non-vacuousness: the rejoin under outage was fail-closed."""
         replica = self.cluster.nodes[i]
         if replica.admission is None:
@@ -1161,7 +1110,7 @@ class ChaosHarness:
             "check_outage", i, replica.unadmitted_drops, refused
         )
 
-    def _check_revoked(self, i: int) -> None:
+    def do_check_revoked(self, i: int) -> None:
         """Non-vacuousness: revocation evicted and discounted replica i."""
         address = self.cluster.nodes[i].address
         if self.cluster.admission.is_admitted(address):
@@ -1186,146 +1135,7 @@ class ChaosHarness:
             self.cluster.replies_unadmitted,
         )
 
-    def _verify(self) -> None:
-        if self._availability_expected() or self.libseal.degraded.active:
-            self._note("verify", "skipped")
-            return
-        try:
-            self.libseal.verify_log()
-        except RollbackError:
-            self._violate("verify raised RollbackError without tampering")
-            return
-        except QuorumUnavailableError:
-            self._violate("verify found no quorum while network was healthy")
-            return
-        live = self.cluster.retrieve(self.config.log_id)
-        head = self._head_counter()
-        if live != head:
-            self._violate(
-                f"live quorum counter {live} != signed head counter {head} "
-                "after full recovery"
-            )
-            return
-        self._note("verify", "ok", head)
-
     # -- the run ---------------------------------------------------------
-
-    def _apply(self, action: tuple) -> None:
-        kind = action[0]
-        if kind == "pairs":
-            for _ in range(action[1]):
-                self._pair()
-        elif kind == "partition":
-            self._partition(action[1])
-        elif kind == "heal":
-            self._heal()
-        elif kind == "crash":
-            self.cluster.crash(action[1])
-            self.crashed.add(action[1])
-            self._note("crash", action[1])
-        elif kind == "restart":
-            self.cluster.recover(action[1])
-            self.crashed.discard(action[1])
-            if self.attested:
-                # Rejoining behind a dead attestation service leaves the
-                # replica unable to re-attest anyone — degraded, by design.
-                if self.attest_down:
-                    self.unattested.add(action[1])
-                else:
-                    self.unattested.discard(action[1])
-            self._note("restart", action[1])
-        elif kind == "lie":
-            self.cluster.equivocate(
-                action[1], shape=action[2], seed=self.scenario.seed
-            )
-            self._note("lie", action[1], action[2])
-        elif kind == "honest":
-            self.cluster.set_lie(action[1], None)
-            self._note("honest", action[1])
-        elif kind == "storm_on":
-            self.network.loss = action[1]
-            self.network.duplication = action[2]
-            self.network.reorder = action[3]
-            self.storm = True
-            self._note("storm_on", action[1], action[2], action[3])
-        elif kind == "storm_off":
-            self.network.loss = 0.0
-            self.network.duplication = 0.0
-            self.network.reorder = 0.0
-            self.storm = False
-            self.network.settle()
-            self._note("storm_off")
-        elif kind == "reseal":
-            self._reseal()
-        elif kind == "probe_stale":
-            self._probe_stale()
-        elif kind == "verify":
-            self._verify()
-        elif kind == "rotate":
-            self._rotate(action[1])
-        elif kind == "rotation_resume":
-            self._rotation_resume()
-        elif kind == "force_retire":
-            retired = self.coordinator.finish(force=True)
-            self._note("force_retire", tuple(retired))
-        elif kind == "pin":
-            self.cluster.nodes[action[1]].pin()
-            self._note("pin", action[1], self.cluster.nodes[action[1]].epoch)
-        elif kind == "upgrade":
-            self._upgrade(action[1])
-        elif kind == "probe_recover":
-            self._probe_recover(action[1])
-        elif kind == "check_epoch":
-            self._check_epoch()
-        elif kind == "check_replay":
-            self._check_replay()
-        elif kind == "intrude":
-            self._intrude(action[1])
-        elif kind == "intrude_catchup":
-            self._intrude_catchup()
-        elif kind == "attest_outage":
-            self.plane.service.outage()
-            self.attest_down = True
-            self._note("attest_outage")
-        elif kind == "attest_restore":
-            self.plane.service.restore()
-            self.attest_down = False
-            self._note("attest_restore")
-        elif kind == "clock_advance":
-            self.plane.clock.advance(action[1])
-            self._note("clock_advance", action[1])
-        elif kind == "tcb_revoke":
-            address = self.cluster.nodes[action[1]].address
-            self.plane.service.set_tcb_status(
-                self.plane.platform(address).platform_id, "revoked"
-            )
-            self.revoked.add(action[1])
-            self._note("tcb_revoke", action[1])
-        elif kind == "check_intruder":
-            self._check_intruder()
-        elif kind == "check_outage":
-            self._check_outage(action[1])
-        elif kind == "check_revoked":
-            self._check_revoked(action[1])
-        else:
-            raise SimulationError(f"unknown chaos action {kind!r}")
-        self._check_monotonic(kind)
-
-    def run(self) -> ScenarioVerdict:
-        actions = self.scenario.actions
-        if self.scenario.plan is not None:
-            with _faults.inject(self.scenario.plan) as injector:
-                for action in actions:
-                    self._apply(action)
-                # Replicas crashed by the plan but never recovered by it
-                # would leak into the closing liveness checks.
-                for fired in injector.fired:
-                    self._note("plan_fired", fired.event.describe())
-        else:
-            for action in actions:
-                self._apply(action)
-        self._final_check()
-        return self._verdict()
 
     def _final_check(self) -> None:
         if self._availability_expected():
@@ -1335,23 +1145,128 @@ class ChaosHarness:
         if self.pairs_ok == 0:
             self._violate("scenario completed no successful pairs")
 
-    def _verdict(self) -> ScenarioVerdict:
-        digest = sha256_hex(
-            json.dumps(self.trace, sort_keys=True, default=str).encode()
-        )
-        return ScenarioVerdict(
-            family=self.scenario.family,
-            seed=self.scenario.seed,
-            ok=not self.violations,
-            violations=list(self.violations),
-            pairs_ok=self.pairs_ok,
-            pairs_blocked=self.pairs_blocked,
-            stale_probes=self.stale_probes,
-            recovered_in=self.recovered_in,
-            head_counter=self._head_counter(),
-            trace_digest=digest,
-            network=self.network.stats.as_dict(),
-        )
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """One chaos family: its whole definition, in one row."""
+
+    description: str
+    #: ``script(rng, f, n)``: the action tuples the harness runs.
+    script: Callable[[random.Random, int, int], list]
+    #: ``plan(family, rng, f, n)``: the fault plan, drawn after the script.
+    plan: Callable[..., FaultPlan] | None = None
+    harness: type[ScenarioHarness] = ChaosHarness
+    #: ROTE world: every member admitted by verified quote evidence.
+    attested: bool = False
+    #: ROTE world: the log snapshot sealed at rest, so rotation must
+    #: migrate it and recovery must refuse a retired-epoch blob.
+    sealed: bool = False
+
+
+#: Every chaos family. This table is the single source of truth:
+#: ``FAMILIES``, ``FAMILY_DESCRIPTIONS`` and the harness each scenario
+#: runs under derive from it, ``python -m repro chaos --list-families``
+#: prints it, and the README's family table is generated from it (and
+#: checked for drift in CI).
+FAMILY_TABLE = {
+    "partition-minority": Family(
+        "Partition f replicas away; the quorum keeps serving throughout.",
+        _script_partition_minority,
+    ),
+    "partition-majority": Family(
+        "Partition a majority away; pairs block explicitly, then heal.",
+        _script_partition_majority,
+    ),
+    "restart-storm": Family(
+        "Crash/restart waves across replicas; sealed state resumes exactly.",
+        _script_restart_storm,
+    ),
+    "restart-mid-increment": Family(
+        "Kill a replica between quorum rounds of a live counter increment.",
+        _script_restart_mid_increment,
+        plan=_plan_restart_mid_increment,
+    ),
+    "byzantine": Family(
+        "Equivocating replicas lie about counters; quorum certification holds.",
+        _script_byzantine,
+    ),
+    "message-storm": Family(
+        "Loss, duplication and reorder on every link; retries stay exact.",
+        _script_message_storm,
+    ),
+    "kitchen-sink": Family(
+        "Partitions, restarts, lies and storms stacked in one scenario.",
+        _script_kitchen_sink,
+    ),
+    "rotation-crash": Family(
+        "Crash the key-rotation WAL at a random checkpoint; replay converges.",
+        _script_rotation_crash,
+        plan=_crash_plan(ROTATION_SITE, ROTATION_CHECKPOINTS),
+        sealed=True,
+    ),
+    "rotation-stale-replica": Family(
+        "Strand f+1 replicas on a pre-rotation build; degrade, then retire.",
+        _script_rotation_stale_replica,
+        sealed=True,
+    ),
+    "rotation-byzantine-replay": Family(
+        "Replay retired-epoch counter claims; every one is rejected.",
+        _script_rotation_byzantine_replay,
+        sealed=True,
+    ),
+    "attest-forged-join": Family(
+        "Forged/replayed join evidence probes every admission gate.",
+        _script_attest_forged_join,
+        attested=True,
+    ),
+    "attest-outage-restart": Family(
+        "Attestation outage during a rejoin; catch-up stays fail-closed.",
+        _script_attest_outage_restart,
+        attested=True,
+    ),
+    "attest-revoked-tcb": Family(
+        "TCB revocation mid-run evicts and discounts the revoked replica.",
+        _script_attest_revoked_tcb,
+        attested=True,
+    ),
+    "shard-split-crash": Family(
+        "Crash a shard split at every rebalance checkpoint; WAL replay "
+        "converges to one owner per range.",
+        _script_shard_split_crash,
+        plan=_crash_plan(SHARD_SITE, SHARD_CHECKPOINTS),
+        harness=ShardChaosHarness,
+    ),
+    "shard-merge-stale": Family(
+        "Merge a shard stranded on a retired epoch; the change fails "
+        "closed, degrades, and never rolls back claims.",
+        _script_shard_merge_stale,
+        harness=ShardChaosHarness,
+    ),
+    "shard-rebalance-byzantine": Family(
+        "An old owner keeps answering for a migrated range and replays "
+        "its transfer; both are dropped and counted.",
+        _script_shard_rebalance_byzantine,
+        harness=ShardChaosHarness,
+    ),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+
+FAMILY_DESCRIPTIONS = {
+    name: family.description for name, family in FAMILY_TABLE.items()
+}
+
+
+def family_table_markdown() -> str:
+    """The README's chaos-family table, generated so it cannot drift."""
+    lines = ["| Family | What it proves |", "| --- | --- |"]
+    for family, description in FAMILY_DESCRIPTIONS.items():
+        lines.append(f"| `{family}` | {description} |")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -1359,16 +1274,21 @@ class ChaosHarness:
 # ----------------------------------------------------------------------
 
 
-def run_scenario(family: str, seed: int, f: int = 1) -> ScenarioVerdict:
-    """Build and run one seeded scenario."""
-    scenario = build_scenario(family, seed, f=f)
-    if family.startswith("shard-"):
-        # Imported lazily: chaos_shard builds a full ShardPlane and
-        # imports this module for the scenario/verdict types.
-        from repro.faults.chaos_shard import ShardChaosHarness
+def build_scenario(family: str, seed: int, f: int = 1) -> ChaosScenario:
+    if family not in FAMILY_TABLE:
+        raise SimulationError(f"unknown chaos family {family!r}; one of {FAMILIES}")
+    row = FAMILY_TABLE[family]
+    rng = _rng(family, seed)
+    n = 3 * f + 1
+    actions = tuple(row.script(rng, f, n))
+    plan = row.plan(family, rng, f, n) if row.plan is not None else None
+    return ChaosScenario(family=family, seed=seed, f=f, actions=actions, plan=plan)
 
-        return ShardChaosHarness(scenario).run()
-    return ChaosHarness(scenario).run()
+
+def run_scenario(family: str, seed: int, f: int = 1) -> ScenarioVerdict:
+    """Build and run one seeded scenario under its family's harness."""
+    scenario = build_scenario(family, seed, f=f)
+    return FAMILY_TABLE[family].harness(scenario).run()
 
 
 def run_soak(

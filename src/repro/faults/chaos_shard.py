@@ -16,27 +16,22 @@ checking — and judges every step with the plane's own oracles:
   happen outside its legitimate window, and nothing is ever misplaced;
 - **monotone heads**: no shard's certified head counter ever regresses.
 
-The harness reuses :class:`~repro.faults.chaos.ScenarioVerdict` so the
+The harness shares the :class:`~repro.faults.harness.ScenarioHarness`
+skeleton and its :class:`~repro.faults.harness.ScenarioVerdict`, so the
 soak CLI, the CI soak gates and the nightly sweep treat shard families
 exactly like every other family.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.crypto.hashing import sha256_hex
 from repro.errors import (
     AuditBufferFullError,
     FreshnessUnverifiableError,
     IntegrityError,
     RangeUnavailableError,
-    SimulationError,
 )
-from repro.faults import hooks as _faults
-from repro.faults.chaos import ChaosScenario, ScenarioVerdict
+from repro.faults.harness import ChaosScenario, ScenarioHarness
 from repro.faults.plan import InjectedCrash
-from repro.sgx.sealing import EpochState
 from repro.shard.plane import ShardPlane
 from repro.workloads.messaging_traffic import MessagingWorkload
 
@@ -48,21 +43,18 @@ CHAOS_CHANNELS = 24
 UPGRADED_BUILD = "rote-counter-2.0"
 
 
-class ShardChaosHarness:
+class ShardChaosHarness(ScenarioHarness):
     """Runs one ``shard-*`` scenario and judges it after every step."""
 
     def __init__(self, scenario: ChaosScenario):
-        if not scenario.family.startswith("shard-"):
-            raise SimulationError(
-                f"{scenario.family!r} is not a shard family"
-            )
-        self.scenario = scenario
+        super().__init__(scenario)
         shards = (
             ("shard-0", "shard-1", "shard-2")
             if scenario.family == "shard-merge-stale"
             else ("shard-0", "shard-1")
         )
         self.plane = ShardPlane(shards=shards, seed=scenario.seed)
+        self.network = self.plane.network
         self.workload = MessagingWorkload(
             self.plane,
             channels=CHAOS_CHANNELS,
@@ -70,25 +62,18 @@ class ShardChaosHarness:
             fetch_ratio=0.0,
             seed=scenario.seed,
         )
-        self.trace: list[tuple] = []
-        self.violations: list[str] = []
         self.pairs_ok = self.workload.requests_issued
-        self.pairs_blocked = 0
         self.moved_tuples = 0
         self._last_heads: dict[str, int] = {}
+        #: Ownership views from before the last split: the Byzantine
+        #: family forges its stale claims from them.
+        self._pre_change_views: dict = {}
 
     # ------------------------------------------------------------------
-    # Bookkeeping
+    # Oracle and verdict fields
     # ------------------------------------------------------------------
 
-    def _note(self, *event) -> None:
-        self.trace.append(tuple(event))
-
-    def _violate(self, message: str) -> None:
-        self.violations.append(message)
-        self._note("VIOLATION", message)
-
-    def _check_heads(self) -> None:
+    def _check_step(self, kind: str) -> None:
         """No live shard's certified head counter may ever regress."""
         for shard_id, counter in self.plane.head_counters().items():
             last = self._last_heads.get(shard_id, 0)
@@ -100,9 +85,26 @@ class ShardChaosHarness:
         for gone in set(self._last_heads) - set(self.plane.instances):
             del self._last_heads[gone]
 
+    def _head_counter(self) -> int:
+        return max(self.plane.head_counters().values(), default=0)
+
+    @property
+    def stale_probes(self) -> int:
+        return self.plane.stale_owner_drops + self._duplicate_drops()
+
+    def _duplicate_drops(self) -> int:
+        return sum(
+            instance.duplicate_transfer_drops
+            for instance in self.plane.instances.values()
+        )
+
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
+
+    def do_pairs(self, count: int) -> None:
+        for _ in range(count):
+            self._pair()
 
     def _pair(self) -> None:
         try:
@@ -119,7 +121,11 @@ class ShardChaosHarness:
             if not self.plane.degraded_shards():
                 self._violate("pair blocked with no shard degraded")
 
-    def _split(self, shard: str) -> None:
+    def do_split(self, shard: str) -> None:
+        self._pre_change_views = {
+            shard_id: instance.claimed_view()
+            for shard_id, instance in self.plane.instances.items()
+        }
         try:
             report = self.plane.rebalancer.split(shard)
             self.moved_tuples += sum(t for _, _, t in report.transfers)
@@ -127,7 +133,7 @@ class ShardChaosHarness:
         except InjectedCrash:
             self._note("split", "crashed", shard)
 
-    def _merge_failclosed(self, shard: str) -> None:
+    def do_merge_failclosed(self, shard: str) -> None:
         try:
             self.plane.rebalancer.merge(shard)
             self._violate(
@@ -140,7 +146,7 @@ class ShardChaosHarness:
             if shard not in self.plane.router.members:
                 self._violate("fail-closed merge rolled the ring forward")
 
-    def _resume(self) -> None:
+    def do_resume(self) -> None:
         report = self.plane.rebalancer.resume()
         if report is None:
             self._violate("resume found no WAL entry to replay")
@@ -152,13 +158,13 @@ class ShardChaosHarness:
         if not report.completed:
             self._violate(f"replay of {report.change_id} did not complete")
 
-    def _pin_shard(self, shard: str) -> None:
+    def do_pin_shard(self, shard: str) -> None:
         cluster = self.plane.instances[shard].cluster
         for node in cluster.nodes:
             node.pin()
         self._note("pin_shard", shard, cluster.authority.current_epoch)
 
-    def _rotate_epoch(self, reason: str) -> None:
+    def do_rotate_epoch(self, reason: str) -> None:
         authority = self.plane.authority
         authority.rotate(reason)
         clusters = [self.plane.control_cluster] + [
@@ -166,20 +172,16 @@ class ShardChaosHarness:
         ]
         for cluster in clusters:
             cluster.announce_epoch()
-        retired = []
-        for epoch, entry in sorted(authority.epochs.items()):
-            if entry.state is EpochState.GRACE:
-                authority.retire(epoch)
-                retired.append(epoch)
+        retired = authority.retire_grace()
         self._note("rotate_epoch", authority.current_epoch, tuple(retired))
 
-    def _upgrade_shard(self, shard: str) -> None:
+    def do_upgrade_shard(self, shard: str) -> None:
         cluster = self.plane.instances[shard].cluster
         for node in cluster.nodes:
             node.upgrade(UPGRADED_BUILD)
         self._note("upgrade_shard", shard)
 
-    def _stale_claim(self, shard: str) -> None:
+    def do_stale_claim(self, shard: str) -> None:
         instance = self.plane.instances[shard]
         view = self._pre_change_views.get(shard)
         if view is None:
@@ -188,11 +190,11 @@ class ShardChaosHarness:
         instance.stale_claim = view
         self._note("stale_claim", shard, view[0])
 
-    def _honest(self, shard: str) -> None:
+    def do_honest(self, shard: str) -> None:
         self.plane.instances[shard].stale_claim = None
         self._note("honest", shard)
 
-    def _replay_transfers(self, shard: str) -> None:
+    def do_replay_transfers(self, shard: str) -> None:
         instance = self.plane.instances[shard]
         if not instance.sent_transfers:
             self._violate(f"{shard} has no past transfers to replay")
@@ -204,7 +206,7 @@ class ShardChaosHarness:
         self.plane.network.settle()
         self._note("replay_transfers", shard, len(instance.sent_transfers))
 
-    def _scatter_check(self, expect: str) -> None:
+    def do_scatter_check(self, expect: str) -> None:
         outcome = self.plane.check_invariants()
         self._note(
             "scatter_check", expect, outcome.ok,
@@ -226,13 +228,13 @@ class ShardChaosHarness:
             if outcome.ok:
                 self._violate("stale claim left the merged verdict 'ok'")
 
-    def _check_coverage(self) -> None:
+    def do_check_coverage(self) -> None:
         problems = self.plane.placement_problems()
         self._note("check_coverage", len(problems))
         for problem in problems:
             self._violate(f"placement: {problem}")
 
-    def _check_pairs(self) -> None:
+    def do_check_pairs(self) -> None:
         problems = self.plane.pair_accounting()
         self._note("check_pairs", self.plane.tuples_routed, len(problems))
         for problem in problems:
@@ -248,18 +250,15 @@ class ShardChaosHarness:
         if imported == 0:
             self._violate("rebalance moved zero tuples (vacuous scenario)")
 
-    def _check_failclosed(self) -> None:
+    def do_check_failclosed(self) -> None:
         if self.plane.rebalancer.failclosed_aborts == 0:
             self._violate("no fail-closed abort was recorded")
         if not any(e[0] == "merge" and e[1] == "failclosed" for e in self.trace):
             self._violate("fail-closed merge never observed in trace")
         self._note("check_failclosed", self.plane.rebalancer.failclosed_aborts)
 
-    def _check_byzantine(self) -> None:
-        duplicate_drops = sum(
-            instance.duplicate_transfer_drops
-            for instance in self.plane.instances.values()
-        )
+    def do_check_byzantine(self) -> None:
+        duplicate_drops = self._duplicate_drops()
         self._note(
             "check_byzantine", self.plane.stale_owner_drops, duplicate_drops
         )
@@ -268,7 +267,7 @@ class ShardChaosHarness:
         if duplicate_drops == 0:
             self._violate("replayed transfers were never dropped")
 
-    def _verify_all(self) -> None:
+    def do_verify_all(self) -> None:
         try:
             self.plane.verify_all()
             self._note("verify_all", "ok")
@@ -276,67 +275,8 @@ class ShardChaosHarness:
             self._violate(f"log verification failed: {exc}")
 
     # ------------------------------------------------------------------
-    # Driver
+    # End of run
     # ------------------------------------------------------------------
-
-    def _apply(self, action: tuple) -> None:
-        kind = action[0]
-        if kind == "pairs":
-            for _ in range(action[1]):
-                self._pair()
-        elif kind == "split":
-            # The Byzantine family needs the pre-change ownership views
-            # to forge a convincing stale claim afterwards.
-            self._pre_change_views = {
-                shard_id: instance.claimed_view()
-                for shard_id, instance in self.plane.instances.items()
-            }
-            self._split(action[1])
-        elif kind == "merge_failclosed":
-            self._merge_failclosed(action[1])
-        elif kind == "resume":
-            self._resume()
-        elif kind == "pin_shard":
-            self._pin_shard(action[1])
-        elif kind == "rotate_epoch":
-            self._rotate_epoch(action[1])
-        elif kind == "upgrade_shard":
-            self._upgrade_shard(action[1])
-        elif kind == "stale_claim":
-            self._stale_claim(action[1])
-        elif kind == "honest":
-            self._honest(action[1])
-        elif kind == "replay_transfers":
-            self._replay_transfers(action[1])
-        elif kind == "scatter_check":
-            self._scatter_check(action[1])
-        elif kind == "check_coverage":
-            self._check_coverage()
-        elif kind == "check_pairs":
-            self._check_pairs()
-        elif kind == "check_failclosed":
-            self._check_failclosed()
-        elif kind == "check_byzantine":
-            self._check_byzantine()
-        elif kind == "verify_all":
-            self._verify_all()
-        else:
-            raise SimulationError(f"unknown shard chaos action {kind!r}")
-        self._check_heads()
-
-    def run(self) -> ScenarioVerdict:
-        self._pre_change_views: dict = {}
-        if self.scenario.plan is not None:
-            with _faults.inject(self.scenario.plan) as injector:
-                for action in self.scenario.actions:
-                    self._apply(action)
-                for fired in injector.fired:
-                    self._note("plan_fired", fired.event.describe())
-        else:
-            for action in self.scenario.actions:
-                self._apply(action)
-        self._final_check()
-        return self._verdict()
 
     def _final_check(self) -> None:
         if self.plane.rebalancer.pending():
@@ -346,26 +286,3 @@ class ShardChaosHarness:
             self._violate(f"scenario ended with degraded shards: {degraded}")
         if self.pairs_ok == 0:
             self._violate("scenario completed no successful pairs")
-
-    def _verdict(self) -> ScenarioVerdict:
-        digest = sha256_hex(
-            json.dumps(self.trace, sort_keys=True, default=str).encode()
-        )
-        duplicate_drops = sum(
-            instance.duplicate_transfer_drops
-            for instance in self.plane.instances.values()
-        )
-        heads = self.plane.head_counters()
-        return ScenarioVerdict(
-            family=self.scenario.family,
-            seed=self.scenario.seed,
-            ok=not self.violations,
-            violations=list(self.violations),
-            pairs_ok=self.pairs_ok,
-            pairs_blocked=self.pairs_blocked,
-            stale_probes=self.plane.stale_owner_drops + duplicate_drops,
-            recovered_in=None,
-            head_counter=max(heads.values()) if heads else 0,
-            trace_digest=digest,
-            network=self.plane.network.stats.as_dict(),
-        )

@@ -38,7 +38,6 @@ class Database:
     def __init__(self, use_planner: bool = True, vectorized: bool = True) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ast.Select] = {}
-        self._view_names: dict[str, str] = {}
         self.use_planner = use_planner
         self.vectorized = vectorized
         self._executor = Executor(self)
@@ -100,9 +99,6 @@ class Database:
     def table_names(self) -> list[str]:
         return [table.name for table in self._tables.values()]
 
-    def view_names(self) -> list[str]:
-        return list(self._view_names.values())
-
     def row_count(self, table_name: str) -> int:
         return len(self.lookup_table(table_name).rows)
 
@@ -125,7 +121,6 @@ class Database:
                 table.name, list(table.columns)
             )
         other._views = dict(self._views)
-        other._view_names = dict(self._view_names)
         return other
 
     # ------------------------------------------------------------------
@@ -164,7 +159,6 @@ class Database:
                 return
             raise SQLExecutionError(f"object already exists: {stmt.name}")
         self._views[lowered] = stmt.select
-        self._view_names[lowered] = stmt.name
 
     def drop_object(self, stmt: ast.DropObject) -> None:
         lowered = stmt.name.lower()
@@ -175,7 +169,6 @@ class Database:
         else:
             if lowered in self._views:
                 del self._views[lowered]
-                del self._view_names[lowered]
                 return
         if not stmt.if_exists:
             raise SQLExecutionError(f"no such {stmt.kind.lower()}: {stmt.name}")

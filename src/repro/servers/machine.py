@@ -70,10 +70,6 @@ class RunResult:
     check_rows_scanned: float = 0.0
     check_cycles: float = 0.0
 
-    @property
-    def cpu_percent(self) -> float:
-        return self.cpu_utilisation * 100
-
 
 @dataclass
 class FrontendConfig:
@@ -536,11 +532,3 @@ class ServerMachine:
     ) -> RunResult:
         """Saturated-load measurement (CPU or device bound)."""
         return self.run(profile, clients=clients, duration_s=duration_s)
-
-    def throughput_latency_curve(
-        self,
-        profile: RequestProfile,
-        client_counts: list[int],
-        duration_s: float = 2.0,
-    ) -> list[RunResult]:
-        return [self.run(profile, c, duration_s=duration_s) for c in client_counts]

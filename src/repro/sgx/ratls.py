@@ -53,7 +53,7 @@ from repro.sgx.attestation import (
     QuotingEnclave,
 )
 from repro.sgx.enclave import Enclave, EnclaveConfig
-from repro.sgx.sealing import EpochState, SigningAuthority
+from repro.sgx.sealing import SigningAuthority
 from repro.tls import handshake as hs
 from repro.tls.codec import Reader, encode_parts
 
@@ -227,7 +227,7 @@ class AttestationVerifier:
         policy: AttestationPolicy | None = None,
         *,
         clock: LogicalClock | None = None,
-        epoch_state: Callable[[int], EpochState | None] | None = None,
+        epoch_usable: Callable[[int], bool] | None = None,
         cache_ttl: float | None = None,
         cache_max: int = 64,
         max_retries: int = 2,
@@ -237,7 +237,7 @@ class AttestationVerifier:
         self.service = service
         self.policy = policy if policy is not None else AttestationPolicy()
         self.clock = clock if clock is not None else LogicalClock()
-        self.epoch_state = epoch_state
+        self.epoch_usable = epoch_usable
         self.cache_ttl = cache_ttl
         self.cache_max = max(1, int(cache_max))
         self.max_retries = max(0, int(max_retries))
@@ -276,9 +276,6 @@ class AttestationVerifier:
         self._cache.move_to_end(digest)
         while len(self._cache) > self.cache_max:
             self._cache.popitem(last=False)
-
-    def cache_size(self) -> int:
-        return len(self._cache)
 
     # -- the pipeline ----------------------------------------------------
 
@@ -362,12 +359,12 @@ class AttestationVerifier:
             raise MeasurementPolicyError(
                 "enclave signer does not match the required authority"
             )
-        if self.epoch_state is not None:
-            state = self.epoch_state(evidence.key_epoch)
-            if state not in (EpochState.ACTIVE, EpochState.GRACE):
-                raise MeasurementPolicyError(
-                    f"evidence key epoch {evidence.key_epoch} is retired or unknown"
-                )
+        if self.epoch_usable is not None and not self.epoch_usable(
+            evidence.key_epoch
+        ):
+            raise MeasurementPolicyError(
+                f"evidence key epoch {evidence.key_epoch} is retired or unknown"
+            )
 
         # 5. Service appraisal, cache-aware.
         digest = sha256(encoded)
@@ -518,7 +515,6 @@ class AttestationPlane:
         self.cache_ttl = cache_ttl
         self.max_retries = max_retries
         self._quoting: dict[str, QuotingEnclave] = {}
-        self._enclaves: dict[str, Enclave] = {}
 
     def platform(self, label: str) -> QuotingEnclave:
         """The (registered) quoting enclave for platform ``label``."""
@@ -528,13 +524,6 @@ class AttestationPlane:
             self.service.register_platform(qe)
             self._quoting[label] = qe
         return qe
-
-    def enroll_enclave(self, label: str, enclave: Enclave) -> None:
-        """Remember the enclave currently running on platform ``label``."""
-        self._enclaves[label] = enclave
-
-    def enclave_for(self, label: str) -> Enclave | None:
-        return self._enclaves.get(label)
 
     def rogue_platform(self, label: str) -> QuotingEnclave:
         """A quoting enclave the service has *never* provisioned.
@@ -558,7 +547,6 @@ class AttestationPlane:
         issued = self.clock.now()
         binding = report_binding(context, payload, epoch, issued)
         quote = self.platform(label).quote(enclave, binding)
-        self.enroll_enclave(label, enclave)
         return AttestationEvidence(quote, epoch, issued)
 
     def policy(
@@ -582,7 +570,7 @@ class AttestationPlane:
             self.service,
             self.policy(allowed_measurements),
             clock=self.clock,
-            epoch_state=self.authority.epoch_state,
+            epoch_usable=self.authority.usable,
             cache_ttl=self.cache_ttl,
             max_retries=self.max_retries,
             name=name,

@@ -182,6 +182,11 @@ class SigningAuthority:
             ).set(new)
         return new
 
+    def usable(self, epoch: int) -> bool:
+        """Whether material under ``epoch`` may still be used: ACTIVE or
+        GRACE. Retired and unknown epochs fail closed everywhere."""
+        return self.epoch_state(epoch) in (EpochState.ACTIVE, EpochState.GRACE)
+
     def retire(self, epoch: int) -> None:
         """Close ``epoch`` for good (idempotent; the ACTIVE epoch never)."""
         entry = self._epochs.get(epoch)
@@ -191,9 +196,20 @@ class SigningAuthority:
             raise SealingError("cannot retire the active key epoch")
         entry.state = EpochState.RETIRED
 
+    def retire_grace(self) -> list[int]:
+        """Retire every GRACE epoch, oldest first; returns those retired."""
+        retired = [
+            epoch
+            for epoch, entry in sorted(self._epochs.items())
+            if entry.state is EpochState.GRACE
+        ]
+        for epoch in retired:
+            self.retire(epoch)
+        return retired
+
     def _require_usable_epoch(self, epoch: int, action: str) -> None:
-        state = self.epoch_state(epoch)
-        if state is None or state is EpochState.RETIRED:
+        if not self.usable(epoch):
+            state = self.epoch_state(epoch)
             self.retired_rejections += 1
             if _obs.ON:
                 _obs.active().metrics.counter(
@@ -249,23 +265,6 @@ class SigningAuthority:
             info=b"sgx-group-key" + scope.to_bytes(EPOCH_TAG_LEN, "big") + label,
             length=32,
         )
-
-    def group_keyring(self, label: bytes):
-        """A verifier keyring: ``epoch -> key`` for usable epochs, else None.
-
-        This is how "fail closed on retired epochs" reaches every MAC
-        check without each call site re-implementing the state machine:
-        verifiers pass the attestation's epoch through the ring and a
-        retired/unknown epoch simply yields no key.
-        """
-
-        def ring(epoch: int) -> bytes | None:
-            state = self.epoch_state(epoch)
-            if state is None or state is EpochState.RETIRED:
-                return None
-            return self.derive_group_key(label, epoch)
-
-        return ring
 
     # ------------------------------------------------------------------
     # Seal / unseal (must run inside the enclave)

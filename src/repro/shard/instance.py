@@ -25,7 +25,7 @@ does for the plane happens by message passing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.audit.admission import AdmissionController
@@ -54,7 +54,7 @@ from repro.sgx.ratls import (
     AttestationPlane,
     make_node_enclave,
 )
-from repro.sgx.sealing import EpochState, SigningAuthority
+from repro.sgx.sealing import SigningAuthority
 from repro.shard.router import HashRange
 from repro.sim.network import SimNetwork
 from repro.ssm.base import ServiceSpecificModule
@@ -464,10 +464,7 @@ class ShardInstance:
                     reason=f"tuple outside transferred range ({table})",
                 )
                 return
-        if self.authority.epoch_state(manifest.epoch) not in (
-            EpochState.ACTIVE,
-            EpochState.GRACE,
-        ):
+        if not self.authority.usable(manifest.epoch):
             self._ack(
                 transfer, "freshness-unverifiable",
                 reason=f"manifest epoch {manifest.epoch} not provable",

@@ -363,13 +363,6 @@ class ShardPlane:
     # Plane-wide audit health
     # ------------------------------------------------------------------
 
-    def try_reseal_all(self) -> bool:
-        healed = True
-        for instance in self.instances.values():
-            if instance.libseal.degraded.active:
-                healed = instance.libseal.try_reseal() and healed
-        return healed
-
     def degraded_shards(self) -> list[str]:
         return sorted(
             shard_id

@@ -4,7 +4,8 @@ A membership change (split = shard joins, merge = shard leaves) moves
 owned log ranges between enclaves while the plane keeps serving. Like
 key rotation (:mod:`repro.audit.rotation`), it is a distributed,
 multi-step state change that a crash must never leave half-applied —
-so it gets the same shape: a signed write-ahead
+so it runs on the same :class:`~repro.audit.wal.WriteAheadCoordinator`:
+a signed write-ahead
 :class:`~repro.audit.hashchain.MembershipIntent` persisted *before*
 anything moves, idempotent steps, and a ``shard.step`` fault site
 between every pair of steps (:data:`SHARD_CHECKPOINTS` of them) for the
@@ -49,14 +50,10 @@ from repro.errors import (
     IntegrityError,
     SimulationError,
 )
-from repro.faults import hooks as _faults
+from repro.audit.wal import WriteAheadCoordinator
 from repro.obs import hooks as _obs
 from repro.shard.instance import RangeExportCommand, ShardInstance
 from repro.shard.router import HashRange
-
-#: ``shard.step`` fault-site checks per change: one after the WAL write,
-#: one after each of steps 2-6.
-SHARD_CHECKPOINTS = 6
 
 #: The fault site the chaos suite injects crashes at.
 FAULT_SITE = "shard.step"
@@ -90,16 +87,30 @@ class RebalanceReport:
         return " ".join(bits)
 
 
-class Rebalancer:
+class Rebalancer(WriteAheadCoordinator):
     """Drives WAL-checkpointed membership changes for one plane."""
+
+    INTENT = MembershipIntent
+    FAULT_SITE = FAULT_SITE
+    SPAN = "shard.rebalance"
 
     def __init__(self, plane) -> None:
         self.plane = plane
-        self.changes_started = 0
-        self.changes_resumed = 0
         self.failclosed_aborts = 0
         #: Ranges whose writes are blocked while a change is in flight.
         self.frozen: tuple[HashRange, ...] = ()
+
+    @property
+    def storage(self):
+        return self.plane.control_storage
+
+    @property
+    def signing_key(self):
+        return self.plane.signing_key
+
+    @property
+    def owner(self) -> str:
+        return self.plane.plane_id
 
     # ------------------------------------------------------------------
     # Entry points
@@ -112,33 +123,6 @@ class Rebalancer:
     def merge(self, shard: str) -> RebalanceReport:
         """Drain ``shard`` onto the survivors and decommission it."""
         return self._begin("merge", shard)
-
-    def pending(self) -> bool:
-        """Whether a membership-change WAL entry is outstanding."""
-        storage = self.plane.control_storage
-        return storage.load_intent(MembershipIntent.SIDECAR) is not None
-
-    def resume(self) -> RebalanceReport | None:
-        """Replay a change whose WAL entry survived a crash.
-
-        A forged, corrupt or foreign intent is discarded — the worst
-        outcome is that the operator re-issues a genuine change.
-        """
-        plane = self.plane
-        intent = MembershipIntent.load_sidecar(
-            plane.control_storage,
-            plane.signing_key.public_key(),
-            plane.plane_id,
-            on_invalid=self._discard_wal,
-        )
-        if intent is None:
-            return None
-        self.changes_resumed += 1
-        return self._run(intent, resumed=True)
-
-    # ------------------------------------------------------------------
-    # The idempotent step sequence
-    # ------------------------------------------------------------------
 
     def _begin(self, kind: str, shard: str) -> RebalanceReport:
         plane = self.plane
@@ -154,8 +138,7 @@ class Rebalancer:
                 raise SimulationError(f"shard {shard} is not a member")
             if len(members) == 1:
                 raise SimulationError("cannot merge away the last shard")
-        intent = MembershipIntent.sign(
-            plane.signing_key,
+        return self._start(
             plane_id=plane.plane_id,
             change_id=f"{kind}-{shard}-g{plane.router.generation + 1}",
             kind=kind,
@@ -164,33 +147,30 @@ class Rebalancer:
             generation_to=plane.router.generation + 1,
             epoch=plane.authority.current_epoch,
         )
-        # Step 1: the WAL entry, durable before anything changes. Writes
-        # to the moving ranges freeze from this instant.
-        self.frozen = self._moving_ranges(intent)
-        plane.control_storage.save_intent(intent.encode(), MembershipIntent.SIDECAR)
-        self.changes_started += 1
-        _faults.crash_point(FAULT_SITE)
-        return self._run(intent)
 
-    def _discard_wal(self) -> None:
-        self.plane.control_storage.clear_intent(MembershipIntent.SIDECAR)
+    # ------------------------------------------------------------------
+    # The idempotent step sequence (step 1 is the WAL write)
+    # ------------------------------------------------------------------
+
+    def _on_intent(self, intent: MembershipIntent) -> None:
+        # Writes to the moving ranges freeze from the WAL write on.
+        self.frozen = tuple(rng for rng, _, _ in self._ring_plan(intent))
+
+    def _clear_wal(self) -> None:
+        super()._clear_wal()
         self.frozen = ()
 
-    def _moving_ranges(self, intent: MembershipIntent) -> tuple[HashRange, ...]:
+    def _ring_plan(self, intent: MembershipIntent) -> list:
+        """The ``(range, source, target)`` moves still ahead of cutover."""
         router = self.plane.router
         if router.generation >= intent.generation_to:
-            return ()  # cutover already applied; nothing left to freeze
+            return []  # cutover already applied: nothing moves or freezes
         if intent.kind == "split":
-            plan = router.plan_add(intent.shard)
-        else:
-            plan = router.plan_remove(intent.shard)
-        return tuple(rng for rng, _, _ in plan)
+            return router.plan_add(intent.shard)
+        return router.plan_remove(intent.shard)
 
-    def _run(
-        self, intent: MembershipIntent, resumed: bool = False
-    ) -> RebalanceReport:
-        plane = self.plane
-        report = RebalanceReport(
+    def _report(self, intent: MembershipIntent, resumed: bool) -> RebalanceReport:
+        return RebalanceReport(
             change_id=intent.change_id,
             kind=intent.kind,
             shard=intent.shard,
@@ -199,85 +179,49 @@ class Rebalancer:
             epoch=intent.epoch,
             resumed=resumed,
         )
-        with _obs.span("shard.rebalance") as obs_span:
-            self.frozen = self._moving_ranges(intent)
 
-            # Step 2: the change enters the audited membership history.
-            if plane.membership.record(intent, "begin"):
-                plane.seal_control()
-            _faults.crash_point(FAULT_SITE)
+    def _observe(self, report: RebalanceReport, obs_span) -> None:
+        _obs.active().metrics.counter(
+            "shard_rebalances_total",
+            "Membership-change passes",
+            kind=report.kind,
+            resumed=str(report.resumed).lower(),
+        ).inc()
+        if obs_span is not None:
+            obs_span.set_attr("change_id", report.change_id)
+            obs_span.set_attr("transfers", len(report.transfers))
 
-            # Step 3: a joining shard exists (mutually admitted) before
-            # any range can move onto it.
-            if intent.kind == "split":
-                plane.provisioner.provision(intent.shard)
-            _faults.crash_point(FAULT_SITE)
+    def _record_begin(self, intent, report) -> None:
+        """Step 2: the change enters the audited membership history."""
+        if self.plane.membership.record(intent, "begin"):
+            self.plane.seal_control()
 
-            # Step 4: move every range, fail-closed. Any unprovable
-            # freshness or integrity shortfall aborts *here*, with the
-            # WAL still in place and the ranges still frozen.
-            try:
-                report.transfers = self._transfer_all(intent)
-            except (FreshnessUnverifiableError, IntegrityError):
-                self.failclosed_aborts += 1
-                raise
-            _faults.crash_point(FAULT_SITE)
-
-            # Step 5: cutover — ownership flips atomically in the ring.
-            if plane.router.generation < intent.generation_to:
-                if intent.kind == "split":
-                    plane.router.apply_add(intent.shard)
-                else:
-                    plane.router.apply_remove(intent.shard)
-            if plane.membership.record(intent, "cutover"):
-                plane.seal_control()
-            self.frozen = ()
-            plane.push_ownership()
-            _faults.crash_point(FAULT_SITE)
-
-            # Step 6: old owners drop what moved away; a drained shard
-            # leaves the plane. Both are idempotent under replay.
-            report.retired_tuples = self._retire(intent)
-            _faults.crash_point(FAULT_SITE)
-
-            plane.control_storage.clear_intent(MembershipIntent.SIDECAR)
-            report.completed = True
-            if _obs.ON:
-                _obs.active().metrics.counter(
-                    "shard_rebalances_total",
-                    "Membership-change passes",
-                    kind=intent.kind,
-                    resumed=str(resumed).lower(),
-                ).inc()
-                if obs_span is not None:
-                    obs_span.set_attr("change_id", intent.change_id)
-                    obs_span.set_attr("transfers", len(report.transfers))
-        return report
+    def _provision(self, intent, report) -> None:
+        """Step 3: a joining shard exists (mutually admitted) before any
+        range can move onto it."""
+        if intent.kind == "split":
+            self.plane.provisioner.provision(intent.shard)
 
     # ------------------------------------------------------------------
     # Step 4: verified range transfers
     # ------------------------------------------------------------------
 
-    def _transfer_all(
-        self, intent: MembershipIntent
-    ) -> list[tuple[str, str, int]]:
-        plane = self.plane
-        if plane.router.generation >= intent.generation_to:
-            return []  # replaying past cutover: transfers already landed
-        if intent.kind == "split":
-            plan = plane.router.plan_add(intent.shard)
-        else:
-            plan = plane.router.plan_remove(intent.shard)
+    def _transfer_all(self, intent: MembershipIntent, report) -> None:
+        """Step 4: move every range, fail-closed. Any unprovable
+        freshness or integrity shortfall aborts *here*, with the WAL
+        still in place and the ranges still frozen."""
         grouped: dict[tuple[str, str], list[HashRange]] = {}
-        for rng, source, target in plan:
+        for rng, source, target in self._ring_plan(intent):
             grouped.setdefault((source, target), []).append(rng)
-        transfers = []
-        for (source_id, target_id), ranges in sorted(grouped.items()):
-            tuples = self._transfer(
-                intent, source_id, target_id, tuple(ranges)
-            )
-            transfers.append((source_id, target_id, tuples))
-        return transfers
+        try:
+            for (source_id, target_id), ranges in sorted(grouped.items()):
+                tuples = self._transfer(
+                    intent, source_id, target_id, tuple(ranges)
+                )
+                report.transfers.append((source_id, target_id, tuples))
+        except (FreshnessUnverifiableError, IntegrityError):
+            self.failclosed_aborts += 1
+            raise
 
     def _prove_source_fresh(self, source: ShardInstance) -> None:
         """The source's chain tail must be *provably* fresh before one
@@ -357,17 +301,37 @@ class Rebalancer:
         return ack.tuples
 
     # ------------------------------------------------------------------
-    # Step 6: retirement
+    # Steps 5-6: cutover and retirement
     # ------------------------------------------------------------------
 
-    def _retire(self, intent: MembershipIntent) -> int:
+    def _cutover(self, intent, report) -> None:
+        """Step 5: ownership flips atomically in the ring."""
+        plane = self.plane
+        if plane.router.generation < intent.generation_to:
+            if intent.kind == "split":
+                plane.router.apply_add(intent.shard)
+            else:
+                plane.router.apply_remove(intent.shard)
+        if plane.membership.record(intent, "cutover"):
+            plane.seal_control()
+        self.frozen = ()
+        plane.push_ownership()
+
+    def _retire(self, intent: MembershipIntent, report) -> None:
+        """Step 6: old owners drop what moved away; a drained shard
+        leaves the plane. Both are idempotent under replay."""
         plane = self.plane
         if intent.kind == "merge":
             plane.provisioner.decommission(intent.shard)
-            return 0
+            return
         moved = tuple(plane.router.ranges_of(intent.shard))
-        retired = 0
         for shard_id, instance in plane.instances.items():
             if shard_id != intent.shard:
-                retired += instance.retire_ranges(moved)
-        return retired
+                report.retired_tuples += instance.retire_ranges(moved)
+
+    STEPS = (_record_begin, _provision, _transfer_all, _cutover, _retire)
+
+
+#: ``shard.step`` fault-site checks per change: one after the WAL write,
+#: one after each of steps 2-6.
+SHARD_CHECKPOINTS = 1 + len(Rebalancer.STEPS)

@@ -165,7 +165,3 @@ class Link:
     def transfer(self, num_bytes: int):
         service = num_bytes * 8 / self.bandwidth_bps
         yield from self.device.use(service, post_latency=self.latency_s)
-
-    @property
-    def bytes_capacity_per_s(self) -> float:
-        return self.bandwidth_bps / 8

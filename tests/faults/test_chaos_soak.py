@@ -7,6 +7,7 @@ storms over the simulated network — and checks the harness's built-in
 safety/liveness oracle plus trace-digest determinism.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from repro.errors import SimulationError
 from repro.faults.chaos import (
     FAMILIES,
     FAMILY_DESCRIPTIONS,
+    FAMILY_TABLE,
     ChaosHarness,
     build_scenario,
     family_table_markdown,
@@ -23,6 +25,18 @@ from repro.faults.chaos import (
 )
 
 pytestmark = pytest.mark.faults
+
+#: Seed-0 trace digest of every family, recorded before the harness was
+#: rebuilt as one skeleton plus one family table.
+GOLDEN_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "chaos_trace_digests.json").read_text()
+)["trace_digests"]
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    """The full default soak, run once for every test that reads it."""
+    return run_soak()
 
 
 class TestFamilyTable:
@@ -48,17 +62,15 @@ class TestFamilyTable:
 
 
 class TestSoak:
-    def test_full_soak_has_no_oracle_violations(self):
-        verdicts = run_soak()
+    def test_full_soak_has_no_oracle_violations(self, verdicts):
         assert len(verdicts) >= 25  # acceptance floor
         bad = [v for v in verdicts if not v.ok]
         assert bad == [], [(v.family, v.seed, v.violations) for v in bad]
         # Every family must have produced real audited traffic.
         assert all(v.pairs_ok > 0 for v in verdicts)
 
-    def test_soak_is_not_vacuous(self):
+    def test_soak_is_not_vacuous(self, verdicts):
         """The faults actually bite: partitions block, probes reject."""
-        verdicts = run_soak()
         by_family = {}
         for v in verdicts:
             by_family.setdefault(v.family, []).append(v)
@@ -260,6 +272,7 @@ class TestDeterminism:
         again = run_scenario(family, seed=0)
         assert first.trace_digest == again.trace_digest
         assert first.as_dict() == again.as_dict()
+        assert first.trace_digest == GOLDEN_DIGESTS[family]
 
     def test_different_seeds_diverge(self):
         digests = {run_scenario("kitchen-sink", seed=s).trace_digest for s in range(3)}
@@ -284,3 +297,11 @@ class TestVerdictShape:
     def test_unknown_family_rejected(self):
         with pytest.raises(SimulationError):
             build_scenario("meteor-strike", seed=0)
+
+    @pytest.mark.parametrize("family", ["byzantine", "shard-split-crash"])
+    def test_unknown_action_rejected(self, family):
+        scenario = build_scenario(family, seed=0)
+        scenario.actions = (("meteor_strike",),)
+        harness = FAMILY_TABLE[family].harness(scenario)
+        with pytest.raises(SimulationError, match="meteor_strike"):
+            harness.run()
