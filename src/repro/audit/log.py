@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.audit.hashchain import HashChain, SealIntent, SignedHead
 from repro.audit.persistence import LogStorage
@@ -93,12 +93,8 @@ class AuditLog:
         log_id: str = "libseal-log",
         storage: LogStorage | None = None,
     ):
-        self.db = Database()
         self.schema_sql = schema_sql
-        if schema_sql.strip():
-            self.db.executescript(schema_sql)
-        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
-            self.db.executescript(EVENTS_SCHEMA)
+        self._reset_db()
         self._signing_key = signing_key
         self.rote = rote
         self.log_id = log_id
@@ -116,12 +112,18 @@ class AuditLog:
         #: False once any append's logical time went backwards; delta
         #: checking then permanently falls back to full re-scans.
         self.time_monotone = True
-        self._time_columns: dict[str, int | None] = {}
-        self._install_time_hints()
 
-    def _install_time_hints(self) -> None:
-        """Locate each table's ``time`` column and hint it append-sorted
-        to the SealDB planner (the audit log only appends in time order)."""
+    def _reset_db(self) -> None:
+        """A fresh relational store: the service schema plus the
+        ``libseal_events`` table. Each table's ``time`` column is hinted
+        append-sorted to the SealDB planner (the audit log only appends
+        in time order)."""
+        self.db = Database()
+        if self.schema_sql.strip():
+            self.db.executescript(self.schema_sql)
+        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
+            self.db.executescript(EVENTS_SCHEMA)
+        self._time_columns: dict[str, int | None] = {}
         for name in self.db.table_names():
             table = self.db.lookup_table(name)
             index: int | None = None
@@ -178,6 +180,10 @@ class AuditLog:
         if time is None:
             time = self.latest_time
         self.append(EVENTS_TABLE, (time, kind, detail))
+
+    def payloads(self) -> Iterator[tuple[str, tuple[SqlValue, ...]]]:
+        """Every appended ``(table, values)`` tuple, in chain order."""
+        return iter(self._payloads)
 
     def has_event(self, kind: str, detail: str) -> bool:
         """Whether an identical lifecycle event was already recorded.
@@ -264,29 +270,23 @@ class AuditLog:
         appended tuple.
         """
         events = _faults.check("audit.seal")
-
-        def crash_at(kind: str) -> None:
-            for event in events:
-                if event.kind == kind:
-                    raise _faults.active().crash(event)
-
         with _obs.span("audit.seal", cycles=SEAL_EPOCH_CYCLES):
-            crash_at("crash_before_intent")
+            _faults.crash_on(events, "crash_before_intent")
             if self.storage is not None:
                 intent = SealIntent.sign(
                     self._signing_key, self.log_id, self.chain.head, len(self.chain)
                 )
                 self.storage.save_intent(intent.encode())
-            crash_at("crash_after_intent")
+            _faults.crash_on(events, "crash_after_intent")
             counter_value = self.rote.increment(self.log_id)
-            crash_at("crash_after_increment")
+            _faults.crash_on(events, "crash_after_increment")
             self.signed_head = SignedHead.sign(
                 self._signing_key, self.chain.head, counter_value, len(self.chain)
             )
             self.epochs_sealed += 1
             if self.storage is not None:
                 self.storage.save(self.serialize())
-                crash_at("crash_after_save")
+                _faults.crash_on(events, "crash_after_save")
                 self.storage.clear_intent()
             if _obs.ON:
                 _obs.active().metrics.counter(
@@ -360,13 +360,7 @@ class AuditLog:
         # keep their original (strictly increasing) values so outstanding
         # deltas cannot alias, and the generation bump invalidates every
         # watermark exactly as a trim would.
-        self.db = Database()
-        if self.schema_sql.strip():
-            self.db.executescript(self.schema_sql)
-        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
-            self.db.executescript(EVENTS_SCHEMA)
-        self._time_columns = {}
-        self._install_time_hints()
+        self._reset_db()
         for _, table, values in survivors:
             placeholders = ", ".join("?" * len(values))
             self.db.execute(

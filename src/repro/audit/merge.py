@@ -72,7 +72,7 @@ def merge_logs(
     total = 0
     for log in partials:
         max_time = 0
-        for table, values in log._payloads:
+        for table, values in log.payloads():
             if table.lower() not in table_names:
                 raise IntegrityError(
                     f"partial log has unknown relation {table!r}"

@@ -116,9 +116,7 @@ class LogStorage:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
-            for event in events:
-                if event.kind == "crash_before_replace":
-                    raise injector.crash(event)
+            _faults.crash_on(events, "crash_before_replace")
             os.replace(tmp_path, self.path)
             # The rename itself is not durable until the directory entry
             # is flushed; without this a crash can resurrect the old file.
@@ -133,9 +131,7 @@ class LogStorage:
         self.bytes_written += len(blob)
         self.total_latency_ms += DISK_FLUSH_LATENCY_MS
         _faults.record_save(str(self.path), blob)
-        for event in events:
-            if event.kind == "crash_after_replace":
-                raise injector.crash(event)
+        _faults.crash_on(events, "crash_after_replace")
         if crash is not None:
             raise injector.crash(crash)
 

@@ -190,9 +190,7 @@ class LibSeal:
         self, request: HttpRequest, response: HttpResponse, handle: int
     ) -> str | None:
         events = _faults.check("libseal.pair")
-        for event in events:
-            if event.kind == "crash_before_log":
-                raise _faults.active().crash(event)
+        _faults.crash_on(events, "crash_before_log")
         if (
             self.degraded.active
             and self.degraded.unsealed_pairs >= self.config.max_unsealed_pairs
@@ -221,9 +219,7 @@ class LibSeal:
         emitted = len(staged)
         for table, values in staged:
             self.audit_log.append(table, values)
-        for event in events:
-            if event.kind == "crash_after_log":
-                raise _faults.active().crash(event)
+        _faults.crash_on(events, "crash_after_log")
         if emitted and self.config.flush_each_pair:
             pair_cycles = (
                 LOGGING_BASE_CYCLES + emitted * LOGGING_SEALDB_INSERT_CYCLES

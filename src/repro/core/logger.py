@@ -163,14 +163,10 @@ class AuditLogger:
         # Crash points: the enclave dying around pair dispatch must lose
         # at most the one in-flight, unacknowledged pair.
         events = _faults.check("logger.pair")
-        for event in events:
-            if event.kind == "crash_before_pair":
-                raise _faults.active().crash(event)
+        _faults.crash_on(events, "crash_before_pair")
         self.pairs_logged += 1
         header_value = self._on_pair(request, response, handle)
-        for event in events:
-            if event.kind == "crash_after_pair":
-                raise _faults.active().crash(event)
+        _faults.crash_on(events, "crash_after_pair")
         if header_value is None:
             return None
         response.headers.set(LIBSEAL_RESULT_HEADER, header_value)

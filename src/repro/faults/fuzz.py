@@ -16,7 +16,7 @@ an lthread task):
   re-injection) against deep-copied established connections;
 - **http** — post-decryption mutations (request splitting, smuggled and
   malformed Content-Length, header bombs, never-terminated heads,
-  pipelining abuse) against a plain-mode supervisor;
+  pipelining abuse) against a plain-mode event loop;
 - **service** — hostile service payloads (mutated JSON, broken
   pkt-lines, wrong shapes, deep nesting, binary garbage) inside valid
   HTTP over a full enclave-TLS + LibSEAL deployment, with the audit log
@@ -237,25 +237,21 @@ class _TlsScenario:
                 break
         else:  # pragma: no cover - deterministic handshake
             raise TLSError("fuzz scenario handshake did not complete")
-        # Keep the supervisor, not the loop: the bundle must stay
-        # deepcopy-able, and the loop's driver generators are not.
         return {
-            "sup": sup.supervisor, "cid": cid, "cssl": cssl, "rb": rb,
+            "sup": sup, "cid": cid, "cssl": cssl, "rb": rb,
             "wb": wb, "flights": flights,
         }
 
     def established_copy(self) -> dict:
         """An independent established connection (≈0.6 ms, no handshake).
 
-        The deepcopied supervisor is adopted by a fresh
-        :class:`EventLoop`, which re-spawns one driver task per live
-        connection (generators cannot be deepcopied).
+        Deep-copying the :class:`EventLoop` re-spawns one driver task per
+        live connection on a fresh scheduler (generators cannot be
+        deep-copied).
         """
-        bundle = copy.deepcopy(
+        return copy.deepcopy(
             self._established_bundle, {id(native_api): native_api}
         )
-        bundle["sup"] = EventLoop(supervisor=bundle["sup"])
-        return bundle
 
 
 def _mutate_flights(
@@ -333,7 +329,7 @@ def fuzz_tls_layer(seed: int = 0, cases: int = 200) -> FuzzReport:
         except ALLOWED_ERRORS as exc:  # pragma: no cover - belt and braces
             report.failures.append(
                 f"case {case} op {op}: typed error escaped the "
-                f"supervisor: {exc!r}"
+                f"event loop: {exc!r}"
             )
         except Exception as exc:
             report.failures.append(f"case {case} op {op}: UNCAUGHT {exc!r}")
@@ -401,7 +397,7 @@ def _feed_all(sup: EventLoop, cid: int, flights) -> FeedResult:
 
 
 def _canary_check(scenario, sup, report, case, rng) -> None:
-    """Sampled cross-connection isolation probe on the same supervisor."""
+    """Sampled cross-connection isolation probe on a fresh established copy."""
     if rng.randrange(32) != 0:
         return
     bundle = scenario.established_copy()
@@ -678,7 +674,7 @@ def fuzz_http_layer(seed: int = 0, cases: int = 2000) -> FuzzReport:
         except ALLOWED_ERRORS as exc:
             report.failures.append(
                 f"case {case} op {op}: typed error escaped the "
-                f"supervisor: {exc!r}"
+                f"event loop: {exc!r}"
             )
         except Exception as exc:
             report.failures.append(f"case {case} op {op}: UNCAUGHT {exc!r}")
@@ -905,7 +901,7 @@ def fuzz_service_layer(
             except ALLOWED_ERRORS as exc:
                 report.failures.append(
                     f"case {case} [{name}]: typed error escaped the "
-                    f"supervisor: {exc!r}"
+                    f"event loop: {exc!r}"
                 )
                 cid, cssl, rb, wb = connect()
                 reconnects += 1

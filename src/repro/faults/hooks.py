@@ -32,12 +32,18 @@ def check(site: str) -> tuple[FaultEvent, ...]:
     return injector.fire(site)
 
 
+def crash_on(events: tuple[FaultEvent, ...], *kinds: str) -> None:
+    """Raise the injected crash for the first of ``events`` (already
+    fetched with :func:`check`) whose kind is one of ``kinds``."""
+    for event in events:
+        if event.kind in kinds:
+            raise _ACTIVE.crash(event)
+
+
 def crash_point(site: str) -> None:
     """A step boundary of a write-ahead procedure: raise the injected
     crash for any ``crash``/``abort`` event due at ``site``."""
-    for event in check(site):
-        if event.kind in ("crash", "abort"):
-            raise _ACTIVE.crash(event)
+    crash_on(check(site), "crash", "abort")
 
 
 def record_save(key: str, blob: bytes) -> None:

@@ -79,7 +79,7 @@ AVAILABILITY_KINDS = frozenset(
 )
 
 #: Hostile-network byte mangling at the front door (site ``conn.feed``):
-#: the connection supervisor must surface a typed error and tear down
+#: the front end must surface a typed error and tear down
 #: only the affected connection — never crash, hang, or taint the log.
 NETWORK_KINDS = frozenset(
     {"mutate_bytes", "truncate_bytes", "drop_bytes", "replay_bytes"}

@@ -1,13 +1,13 @@
-"""Server machine models, experiment drivers and the front-end supervisor.
+"""Server machine model and the client-facing front end.
 
 :mod:`repro.servers.machine` executes :class:`~repro.sim.costs.RequestProfile`
-request streams on a simulated 4-core server with closed-loop clients;
-:mod:`repro.servers.experiments` wraps it into one driver function per
-figure/table of the paper's evaluation; :mod:`repro.servers.connection`
-supervises real client connections with bounded input paths and
-per-connection fault isolation; :mod:`repro.servers.eventloop` runs every
-supervised connection as a cooperative lthread task on one scheduler
-(the §4.3 async front-end core, 100k+ concurrent connections).
+request streams on a simulated 4-core server with closed-loop clients
+(the paper's evaluation drivers build on it in :mod:`repro.bench.perf`);
+:mod:`repro.servers.connection` models one client connection with a
+bounded input path and isolated teardown; :mod:`repro.servers.eventloop`
+is the one front-end object: it owns every live connection and runs
+each as a cooperative lthread task on one scheduler (the §4.3 async
+front-end core, 100k+ concurrent connections).
 """
 
 from repro.servers.attest import AttestMonitor
@@ -15,12 +15,10 @@ from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     DeadlineViolation,
     FeedResult,
     ServerConnection,
     SimClock,
-    SupervisorStats,
 )
 from repro.servers.eventloop import (
     AUDIT_FLUSH_OCALL,
@@ -28,6 +26,7 @@ from repro.servers.eventloop import (
     EventLoopStats,
     ReadWait,
     Reschedule,
+    SupervisorStats,
 )
 from repro.servers.machine import (
     FrontendConfig,
@@ -43,7 +42,6 @@ __all__ = [
     "BufferBoundViolation",
     "ConnectionAborted",
     "ConnectionLimits",
-    "ConnectionSupervisor",
     "DeadlineViolation",
     "EventLoop",
     "EventLoopStats",

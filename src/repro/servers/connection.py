@@ -19,14 +19,14 @@ or hostile service payloads. This module supervises that boundary:
   the deterministic fuzzing harness (:mod:`repro.faults.fuzz`) can
   mutate, truncate, drop or replay network chunks from a seeded plan.
 
-Connections are state machines, not pumps: the one pump is
-:class:`~repro.servers.eventloop.EventLoop`, which runs each
+Connections are state machines, not pumps. The one front-end object is
+:class:`~repro.servers.eventloop.EventLoop`: it owns the live
+connections (open, close, per-feed accounting, deadlines) and runs each
 connection's steps (:meth:`ServerConnection.ingress` →
 :meth:`~ServerConnection.decrypt` → :meth:`~ServerConnection.dispatch`)
-as scheduler slices. :class:`ConnectionSupervisor` is the connection
-registry it drives: open, close, per-feed accounting and deadlines.
+as scheduler slices.
 
-The supervisor works identically over the in-enclave TLS API
+A connection works identically over the in-enclave TLS API
 (:class:`~repro.enclave_tls.EnclaveTlsRuntime`), the native API
 (:mod:`repro.tls.api`) or no TLS at all (plain mode, for HTTP-layer
 fuzzing) because both APIs expose the same OpenSSL-style functions.
@@ -34,7 +34,7 @@ fuzzing) because both APIs expose the same OpenSSL-style functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import (
@@ -47,7 +47,6 @@ from repro.errors import (
 )
 from repro.faults import hooks as _faults
 from repro.http import HttpRequest, HttpResponse, parse_request
-from repro.obs import hooks as _obs
 from repro.http.parser import DEFAULT_LIMITS, HttpLimits, extract_message
 from repro.sim.clock import SimClock
 from repro.tls.bio import bio_pair
@@ -69,13 +68,11 @@ __all__ = [
     "BufferBoundViolation",
     "ConnectionAborted",
     "ConnectionLimits",
-    "ConnectionSupervisor",
     "DeadlineViolation",
     "FeedResult",
     "Handler",
     "ServerConnection",
     "SimClock",
-    "SupervisorStats",
     "VIOLATION_ERRORS",
 ]
 
@@ -191,7 +188,7 @@ class ServerConnection:
             if ssl_ctx is None:
                 raise ValueError("TLS mode needs an SSL_CTX")
             # Client-to-server and server-to-client directions, exactly
-            # as a socket pair: the supervisor holds the "network" ends.
+            # as a socket pair: the event loop holds the "network" ends.
             self.to_server, s_from_c = bio_pair(f"conn{conn_id}-c2s")
             s2c, self.from_server = bio_pair(f"conn{conn_id}-s2c")
             self.ssl = api.SSL_new(ssl_ctx)
@@ -389,134 +386,3 @@ class ServerConnection:
             self.ssl = None
         if self.on_close is not None:
             self.on_close(handle)
-
-
-# ---------------------------------------------------------------------------
-# The supervisor
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SupervisorStats:
-    opened: int = 0
-    closed: int = 0
-    aborted: int = 0
-    requests_served: int = 0
-    bad_requests: int = 0
-    violations: list[tuple[int, str]] = field(default_factory=list)
-
-
-class ConnectionSupervisor:
-    """The registry of live connections; guarantees isolation.
-
-    One hostile connection can at worst abort itself: :meth:`account`
-    drops only the offending connection and the others keep serving.
-    ``tick()`` advances deadline enforcement against the shared
-    :class:`SimClock`. Bytes reach connections through the
-    :class:`~repro.servers.eventloop.EventLoop` that owns this registry.
-    """
-
-    def __init__(
-        self,
-        handler: Handler,
-        api: Any = None,
-        ssl_ctx: Any = None,
-        limits: ConnectionLimits | None = None,
-        clock: SimClock | None = None,
-        on_close: Callable[[int], None] | None = None,
-    ):
-        if (api is None) != (ssl_ctx is None):
-            raise ValueError("TLS mode needs both api and ssl_ctx (or neither)")
-        self.handler = handler
-        self.api = api
-        self.ssl_ctx = ssl_ctx
-        self.limits = limits or ConnectionLimits()
-        self.clock = clock or SimClock()
-        self.on_close = on_close
-        self.connections: dict[int, ServerConnection] = {}
-        self.stats = SupervisorStats()
-        self._next_id = 1
-
-    def open(self, ssl_ctx: Any = None) -> int:
-        """Accept a new connection; returns its id.
-
-        ``ssl_ctx`` overrides the supervisor's default context — the
-        fuzzing harness uses a fresh context per case so the per-session
-        DRBG seeds (and therefore the server's bytes) are reproducible.
-        """
-        conn_id = self._next_id
-        self._next_id += 1
-        ctx = ssl_ctx if ssl_ctx is not None else self.ssl_ctx
-        self.connections[conn_id] = ServerConnection(
-            conn_id,
-            self.handler,
-            self.limits,
-            self.clock,
-            api=self.api,
-            ssl_ctx=ctx,
-            on_close=self.on_close,
-        )
-        self.stats.opened += 1
-        if _obs.ON:
-            _obs.active().metrics.counter(
-                "frontend_connections_total", "Connections accepted"
-            ).inc()
-        return conn_id
-
-    def connection(self, conn_id: int) -> ServerConnection:
-        conn = self.connections.get(conn_id)
-        if conn is None:
-            raise ConnectionAborted(f"unknown connection {conn_id}")
-        return conn
-
-    def account(self, conn: ServerConnection, result: FeedResult) -> None:
-        """Record one feed's outcome (called by the event-loop driver)."""
-        self.stats.requests_served += result.served
-        self.stats.bad_requests += result.bad_requests
-        if _obs.ON:
-            metrics = _obs.active().metrics
-            if result.served:
-                metrics.counter(
-                    "frontend_requests_served_total", "Requests served"
-                ).inc(result.served)
-            if result.bad_requests:
-                metrics.counter(
-                    "frontend_bad_requests_total", "Malformed requests rejected"
-                ).inc(result.bad_requests)
-        if result.aborted and conn.violation is result.violation:
-            self._note_abort(conn)
-
-    def _note_abort(self, conn: ServerConnection) -> None:
-        record = (conn.conn_id, repr(conn.violation))
-        if record not in self.stats.violations:
-            self.stats.aborted += 1
-            self.stats.violations.append(record)
-            self.connections.pop(conn.conn_id, None)
-            if _obs.ON:
-                _obs.active().metrics.counter(
-                    "frontend_connections_aborted_total",
-                    "Connections torn down for protocol violations",
-                    reason=type(conn.violation).__name__,
-                ).inc()
-
-    def tick(self) -> list[int]:
-        """Enforce deadlines now; returns the ids of aborted connections."""
-        now = self.clock.now()
-        expired: list[int] = []
-        for conn in list(self.connections.values()):
-            violation = conn.deadline_violation(now)
-            if violation is not None:
-                conn.abort(violation)
-                self._note_abort(conn)
-                expired.append(conn.conn_id)
-        return expired
-
-    def close(self, conn_id: int) -> None:
-        conn = self.connections.pop(conn_id, None)
-        if conn is not None:
-            conn.close()
-            self.stats.closed += 1
-
-    @property
-    def live_connections(self) -> list[int]:
-        return sorted(self.connections)

@@ -6,10 +6,11 @@ never owns an OS thread, it owns a *task* whose TLS handshake, HTTP parse,
 handler dispatch and audit append are cooperative scheduler slices. This
 module is that architecture over the supervised connection layer:
 
-- :class:`EventLoop` wraps (or adopts) a
-  :class:`~repro.servers.connection.ConnectionSupervisor` and runs one
-  generator-based :class:`~repro.lthreads.LThreadTask` per live
-  connection on a single :class:`~repro.lthreads.LThreadScheduler`
+- :class:`EventLoop` is the one front-end object: it owns the live
+  :class:`~repro.servers.connection.ServerConnection` table (open,
+  close, deadlines, per-feed accounting into :class:`SupervisorStats`)
+  and runs one generator-based :class:`~repro.lthreads.LThreadTask` per
+  live connection on a single :class:`~repro.lthreads.LThreadScheduler`
   (``allow_growth`` lets the task pool stretch to the connection count;
   worker slots still bound concurrency, which is what produces the
   saturation knee in ``benchmarks/bench_saturation.py``);
@@ -24,9 +25,9 @@ module is that architecture over the supervised connection layer:
 - a driver catches exactly
   :data:`~repro.servers.connection.VIOLATION_ERRORS`, tears the
   connection down through
-  :meth:`~repro.servers.connection.ServerConnection.abort` and accounts
-  through :meth:`~repro.servers.connection.ConnectionSupervisor.account`,
-  so one hostile connection can only abort itself;
+  :meth:`~repro.servers.connection.ServerConnection.abort` and drops
+  only that connection from the table, so one hostile connection can
+  only abort itself;
 - aborting or deadline-expiring a connection whose task is parked
   *reaps the task* through :meth:`~repro.lthreads.LThreadScheduler.cancel`
   (closing the generator, returning the slot), so 100k churned
@@ -43,10 +44,16 @@ This is the only front-end pump. It is driven two ways:
   :meth:`step` slice by slice and converts executed slices into
   modelled time, so queueing delay under overload is *emergent* from
   genuine ready-queue backlog.
+
+A deep copy of a loop (the fuzzing harness copies an *established*
+connection instead of repeating its handshake) copies the connections,
+clock and stats, then re-spawns one driver per live connection on a
+fresh scheduler: generators cannot be deep-copied.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
@@ -57,13 +64,12 @@ from repro.lthreads import LThreadScheduler, LThreadTask, TaskState
 from repro.obs import hooks as _obs
 from repro.servers.connection import (
     VIOLATION_ERRORS,
+    ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     FeedResult,
     Handler,
     ServerConnection,
     SimClock,
-    SupervisorStats,
 )
 
 #: Name of the async-ocall the driver issues after serving requests: the
@@ -96,8 +102,21 @@ class Reschedule:
 
 
 @dataclass
+class SupervisorStats:
+    """Connection-level counters: what the clients saw."""
+
+    opened: int = 0
+    closed: int = 0
+    aborted: int = 0
+    requests_served: int = 0
+    bad_requests: int = 0
+    violations: list[tuple[int, str]] = field(default_factory=list)
+
+
+@dataclass
 class EventLoopStats:
-    """Scheduler-level counters (supervisor stats live on the supervisor)."""
+    """Scheduler-level counters (connection counters are
+    :class:`SupervisorStats`)."""
 
     slices: int = 0  # scheduler slices executed
     feeds: int = 0  # chunks fully processed by drivers
@@ -107,21 +126,25 @@ class EventLoopStats:
     reaped_tasks: int = 0  # parked/ready tasks cancelled at teardown
     peak_ready_depth: int = 0  # run-queue high-water mark
     peak_concurrent: int = 0  # live-connection high-water mark
-    per_conn_steps: dict[int, int] = field(default_factory=dict)
 
 
 class EventLoop:
-    """Runs every supervised connection as a cooperative lthread task."""
+    """Owns every client connection and runs each as a cooperative
+    lthread task; guarantees isolation.
+
+    One hostile connection can at worst abort itself: a violation drops
+    only the offending connection and the others keep serving.
+    :meth:`tick` enforces deadlines against the shared :class:`SimClock`.
+    """
 
     def __init__(
         self,
-        handler: Handler | None = None,
+        handler: Handler,
         api: Any = None,
         ssl_ctx: Any = None,
         limits: ConnectionLimits | None = None,
         clock: SimClock | None = None,
         on_close: Callable[[int], None] | None = None,
-        supervisor: ConnectionSupervisor | None = None,
         num_workers: int = 3,
         initial_tasks: int | None = None,
         max_tasks: int = 2_000_000,
@@ -129,24 +152,17 @@ class EventLoop:
         on_result: Callable[[int, FeedResult], None] | None = None,
         audit_flush: Callable[[], Any] | None = None,
     ):
-        if supervisor is None:
-            if handler is None:
-                raise ValueError("EventLoop needs a handler or a supervisor")
-            supervisor = ConnectionSupervisor(
-                handler,
-                api=api,
-                ssl_ctx=ssl_ctx,
-                limits=limits,
-                clock=clock,
-                on_close=on_close,
-            )
-        self.supervisor = supervisor
-        self.scheduler = LThreadScheduler(
-            num_tasks=initial_tasks or num_workers * 48,
-            num_workers=num_workers,
-            allow_growth=True,
-            max_tasks=max_tasks,
-        )
+        if (api is None) != (ssl_ctx is None):
+            raise ValueError("TLS mode needs both api and ssl_ctx (or neither)")
+        self.handler = handler
+        self.api = api
+        self.ssl_ctx = ssl_ctx
+        self.limits = limits or ConnectionLimits()
+        self.clock = clock or SimClock()
+        self.on_close = on_close
+        self.connections: dict[int, ServerConnection] = {}
+        self.stats = SupervisorStats()
+        self._next_id = 1
         self.async_runtime = async_runtime
         if async_runtime is not None and (
             AUDIT_FLUSH_OCALL not in async_runtime._ocalls
@@ -161,6 +177,18 @@ class EventLoop:
         # ``libseal.flush_pending`` here) so staged pairs never wait on
         # further traffic for their acknowledging seal.
         self.audit_flush = audit_flush
+        self._pool = (initial_tasks or num_workers * 48, num_workers, max_tasks)
+        self._start_scheduler()
+
+    def _start_scheduler(self) -> None:
+        """Fresh scheduler, driver tables and loop stats."""
+        num_tasks, num_workers, max_tasks = self._pool
+        self.scheduler = LThreadScheduler(
+            num_tasks=num_tasks,
+            num_workers=num_workers,
+            allow_growth=True,
+            max_tasks=max_tasks,
+        )
         self.loop_stats = EventLoopStats()
         self._tasks: dict[int, LThreadTask] = {}
         self._inboxes: dict[int, deque[bytes]] = {}
@@ -168,45 +196,66 @@ class EventLoop:
         self._collect: set[int] = set()
         self._obs_slices_reported = 0
         self._obs_cancels_reported = 0
-        # Adopt connections already live on a pre-existing supervisor
-        # (the fuzzing harness deepcopies an *established* supervisor —
-        # generators cannot be deepcopied, so drivers are re-spawned here).
-        for conn_id in list(self.supervisor.connections):
-            self._spawn_driver(conn_id)
+
+    #: Attributes :meth:`_start_scheduler` rebuilds rather than copies.
+    _SCHEDULER_STATE = frozenset((
+        "scheduler", "loop_stats", "_tasks", "_inboxes", "_pending_results",
+        "_collect", "_obs_slices_reported", "_obs_cancels_reported",
+    ))
+
+    def __deepcopy__(self, memo: dict) -> "EventLoop":
+        """Copy the connections, clock and stats; re-spawn one driver per
+        live connection on a fresh scheduler with fresh loop stats."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name not in self._SCHEDULER_STATE:
+                setattr(clone, name, copy.deepcopy(value, memo))
+        clone._start_scheduler()
+        for conn_id in clone.connections:
+            clone._spawn_driver(conn_id)
+        return clone
 
     # ------------------------------------------------------------------
-    # Supervisor-compatible facade
+    # Connections
     # ------------------------------------------------------------------
-
-    @property
-    def stats(self) -> SupervisorStats:
-        return self.supervisor.stats
-
-    @property
-    def clock(self) -> SimClock:
-        return self.supervisor.clock
-
-    @property
-    def limits(self) -> ConnectionLimits:
-        return self.supervisor.limits
-
-    @property
-    def connections(self) -> dict[int, ServerConnection]:
-        return self.supervisor.connections
 
     @property
     def live_connections(self) -> list[int]:
-        return self.supervisor.live_connections
+        return sorted(self.connections)
 
     def connection(self, conn_id: int) -> ServerConnection:
-        return self.supervisor.connection(conn_id)
+        conn = self.connections.get(conn_id)
+        if conn is None:
+            raise ConnectionAborted(f"unknown connection {conn_id}")
+        return conn
 
     def open(self, ssl_ctx: Any = None) -> int:
         """Accept a connection and spawn its driver task (READY, not yet
-        run — its first slice parks it on :class:`ReadWait`)."""
-        conn_id = self.supervisor.open(ssl_ctx)
+        run — its first slice parks it on :class:`ReadWait`).
+
+        ``ssl_ctx`` overrides the loop's default context — the fuzzing
+        harness uses a fresh context per case so the per-session DRBG
+        seeds (and therefore the server's bytes) are reproducible.
+        """
+        conn_id = self._next_id
+        self._next_id += 1
+        self.connections[conn_id] = ServerConnection(
+            conn_id,
+            self.handler,
+            self.limits,
+            self.clock,
+            api=self.api,
+            ssl_ctx=ssl_ctx if ssl_ctx is not None else self.ssl_ctx,
+            on_close=self.on_close,
+        )
+        self.stats.opened += 1
+        if _obs.ON:
+            _obs.active().metrics.counter(
+                "frontend_connections_total", "Connections accepted"
+            ).inc()
         self._spawn_driver(conn_id)
-        live = len(self.supervisor.connections)
+        live = len(self.connections)
         if live > self.loop_stats.peak_concurrent:
             self.loop_stats.peak_concurrent = live
         return conn_id
@@ -216,7 +265,7 @@ class EventLoop:
         fully processed it; returns that chunk's result (a typed
         violation aborts only this connection and is reported in it).
         """
-        conn = self.supervisor.connection(conn_id)
+        conn = self.connection(conn_id)
         self.deliver(conn_id, data)
         self._collect.add(conn_id)
         try:
@@ -237,15 +286,39 @@ class EventLoop:
 
     def close(self, conn_id: int) -> None:
         """Graceful close; reaps the connection's parked task."""
-        self.supervisor.close(conn_id)
+        conn = self.connections.pop(conn_id, None)
+        if conn is not None:
+            conn.close()
+            self.stats.closed += 1
         self._reap(conn_id)
 
     def tick(self) -> list[int]:
-        """Enforce deadlines; every expired connection's task is reaped."""
-        expired = self.supervisor.tick()
-        for conn_id in expired:
-            self._reap(conn_id)
+        """Enforce deadlines now; every expired connection is aborted,
+        its task reaped, and its id returned."""
+        now = self.clock.now()
+        expired: list[int] = []
+        for conn in list(self.connections.values()):
+            violation = conn.deadline_violation(now)
+            if violation is not None:
+                conn.abort(violation)
+                self._note_abort(conn)
+                self._reap(conn.conn_id)
+                expired.append(conn.conn_id)
         return expired
+
+    def _note_abort(self, conn: ServerConnection) -> None:
+        """Count an aborted connection once: only while it is still in
+        the table, which this drops it from."""
+        if self.connections.pop(conn.conn_id, None) is None:
+            return
+        self.stats.aborted += 1
+        self.stats.violations.append((conn.conn_id, repr(conn.violation)))
+        if _obs.ON:
+            _obs.active().metrics.counter(
+                "frontend_connections_aborted_total",
+                "Connections torn down for protocol violations",
+                reason=type(conn.violation).__name__,
+            ).inc()
 
     # ------------------------------------------------------------------
     # Open-loop interface (ServerMachine.run_frontend)
@@ -259,7 +332,7 @@ class EventLoop:
         sit in the inbox and the task sits in the ready queue, which is
         where saturation-knee queueing delay comes from.
         """
-        self.supervisor.connection(conn_id)  # raises if torn down
+        self.connection(conn_id)  # raises if torn down
         task = self._tasks.get(conn_id)
         if task is None:  # pragma: no cover - defensive
             raise SimulationError(f"connection {conn_id} has no driver task")
@@ -296,7 +369,7 @@ class EventLoop:
     # ------------------------------------------------------------------
 
     def _spawn_driver(self, conn_id: int) -> None:
-        conn = self.supervisor.connection(conn_id)
+        conn = self.connections[conn_id]
         task = self.scheduler.spawn(self._driver(conn_id, conn))
         task.context["conn_id"] = conn_id
         task.context["steps_base"] = task.steps_executed
@@ -383,7 +456,20 @@ class EventLoop:
         self, conn_id: int, conn: ServerConnection, result: FeedResult
     ) -> None:
         self.loop_stats.feeds += 1
-        self.supervisor.account(conn, result)
+        self.stats.requests_served += result.served
+        self.stats.bad_requests += result.bad_requests
+        if _obs.ON:
+            metrics = _obs.active().metrics
+            if result.served:
+                metrics.counter(
+                    "frontend_requests_served_total", "Requests served"
+                ).inc(result.served)
+            if result.bad_requests:
+                metrics.counter(
+                    "frontend_bad_requests_total", "Malformed requests rejected"
+                ).inc(result.bad_requests)
+        if result.aborted:
+            self._note_abort(conn)
         if conn_id in self._collect:
             self._pending_results.setdefault(conn_id, []).append(result)
         if self.on_result is not None:
@@ -395,7 +481,7 @@ class EventLoop:
         task = self._tasks.pop(conn_id, None)
         self._inboxes.pop(conn_id, None)
         if task is not None:
-            self._record_steps(conn_id, task)
+            self._record_steps(task)
 
     def _reap(self, conn_id: int) -> None:
         """Cancel the connection's task wherever it is parked."""
@@ -404,20 +490,18 @@ class EventLoop:
         self._pending_results.pop(conn_id, None)
         self._collect.discard(conn_id)
         if task is not None:
-            self._record_steps(conn_id, task)
+            self._record_steps(task)
             if task.generator is not None:
                 self.scheduler.cancel(task)
                 self.loop_stats.reaped_tasks += 1
 
-    def _record_steps(self, conn_id: int, task: LThreadTask) -> None:
-        steps = task.steps_executed - task.context.get("steps_base", 0)
-        self.loop_stats.per_conn_steps[conn_id] = steps
+    def _record_steps(self, task: LThreadTask) -> None:
         if _obs.ON:
             _obs.active().metrics.histogram(
                 "frontend_connection_steps",
                 "Scheduler slices one connection consumed over its lifetime",
                 buckets=_STEP_BUCKETS,
-            ).observe(steps)
+            ).observe(task.steps_executed - task.context["steps_base"])
 
     # ------------------------------------------------------------------
     # Observability
@@ -453,7 +537,7 @@ class EventLoop:
         ).set(self.scheduler.waiting_count())
         metrics.gauge(
             "frontend_live_connections", "Connections currently supervised"
-        ).set(len(self.supervisor.connections))
+        ).set(len(self.connections))
         metrics.counter(
             "lthread_slices_total", "Scheduler slices executed"
         ).inc(self.loop_stats.slices - self._obs_slices_reported)

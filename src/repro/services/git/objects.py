@@ -42,16 +42,18 @@ class Commit:
 
 
 class ObjectStore:
-    """Content-addressed storage of commits and file blobs."""
+    """Content-addressed storage of commits.
+
+    A commit names its files by blob digest; nothing serves file
+    contents back, so only the digests are kept.
+    """
 
     def __init__(self) -> None:
         self._commits: dict[str, Commit] = {}
-        self._blobs: dict[str, bytes] = {}
 
-    def store_blob(self, content: bytes) -> str:
-        digest = sha256_hex(b"blob\x00" + content)[:40]
-        self._blobs[digest] = content
-        return digest
+    @staticmethod
+    def blob_id(content: bytes) -> str:
+        return sha256_hex(b"blob\x00" + content)[:40]
 
     def create_commit(
         self,
@@ -60,11 +62,11 @@ class ObjectStore:
         author: str,
         files: dict[str, bytes],
     ) -> Commit:
-        """Store blobs and a new commit over them; returns the commit."""
+        """Store a new commit over the files' blob digests; returns it."""
         if parent_id is not None and parent_id not in self._commits:
             raise ServiceError(f"unknown parent commit {parent_id}")
         file_entries = tuple(
-            sorted((path, self.store_blob(content)) for path, content in files.items())
+            sorted((path, self.blob_id(content)) for path, content in files.items())
         )
         commit_id = Commit.compute_id(parent_id, message, author, file_entries)
         commit = Commit(commit_id, parent_id, message, author, file_entries)

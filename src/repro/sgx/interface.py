@@ -167,9 +167,7 @@ class EnclaveInterface:
         try:
             # Fault hook: an enclave abort (AEX with lost EPC, e.g. power
             # event) kills the call after entry — state inside is gone.
-            for event in _faults.check("enclave.ecall"):
-                if event.kind == "abort":
-                    raise _faults.active().crash(event)
+            _faults.crash_on(_faults.check("enclave.ecall"), "abort")
             return func(*args, **kwargs)
         finally:
             if tracer_span is not None:

@@ -358,7 +358,7 @@ class ShardInstance:
         """
         return tuple(
             (table, values)
-            for table, values in self.libseal.audit_log._payloads
+            for table, values in self.libseal.audit_log.payloads()
             if self._in_ranges(self.route_point(table, values), ranges)
         )
 
@@ -523,6 +523,6 @@ class ShardInstance:
         """Service tuples held (lifecycle events excluded)."""
         return sum(
             1
-            for table, values in self.libseal.audit_log._payloads
+            for table, values in self.libseal.audit_log.payloads()
             if self.route_point(table, values) is not None
         )

@@ -65,6 +65,6 @@ class MembershipLog:
         """Every membership record, in chain order."""
         return [
             values[2]
-            for table, values in self.control_log._payloads
+            for table, values in self.control_log.payloads()
             if table.lower() == EVENTS_TABLE and values[1] == MEMBERSHIP_EVENT
         ]

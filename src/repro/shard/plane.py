@@ -396,7 +396,7 @@ class ShardPlane:
         problems = list(self.router.coverage_gaps())
         for shard_id, instance in self.instances.items():
             granted = self.router.ranges_of(shard_id)
-            for table, values in instance.libseal.audit_log._payloads:
+            for table, values in instance.libseal.audit_log.payloads():
                 point = instance.route_point(table, values)
                 if point is None:
                     continue
@@ -419,7 +419,7 @@ class ShardPlane:
         digests: dict[str, list[str]] = {}
         total = 0
         for shard_id, instance in self.instances.items():
-            for table, values in instance.libseal.audit_log._payloads:
+            for table, values in instance.libseal.audit_log.payloads():
                 if instance.route_point(table, values) is None:
                     continue
                 total += 1

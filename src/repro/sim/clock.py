@@ -7,7 +7,7 @@ private ``SimClock`` while the performance simulator ran its own
 disagree about the order of events. This module is the single home for
 simulated time:
 
-- :class:`SimClock` — the manual monotonic clock the supervisor and the
+- :class:`SimClock` — the manual monotonic clock the event loop and the
   fuzzing harness drive explicitly (moved here from
   ``servers/connection.py``; re-exported there for compatibility);
 - :class:`SimulatorClock` — the same interface *backed by* a

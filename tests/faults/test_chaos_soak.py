@@ -17,7 +17,6 @@ from repro.faults.chaos import (
     FAMILIES,
     FAMILY_DESCRIPTIONS,
     FAMILY_TABLE,
-    ChaosHarness,
     build_scenario,
     family_table_markdown,
     run_scenario,
@@ -33,10 +32,35 @@ GOLDEN_DIGESTS = json.loads(
 )["trace_digests"]
 
 
+#: Seeds per family in the default soak (``run_soak()``'s default).
+SEEDS = range(5)
+
+#: (family, seed) -> (harness, verdict): every scenario runs at most once
+#: per session, however many tests read it. A test class run on its own
+#: runs only the pairs it reads.
+_RUNS: dict = {}
+
+
+def _run(family, seed):
+    """The harness and verdict of one seeded scenario, run once."""
+    key = (family, seed)
+    if key not in _RUNS:
+        harness = FAMILY_TABLE[family].harness(build_scenario(family, seed))
+        _RUNS[key] = harness, harness.run()
+    return _RUNS[key]
+
+
+def _checked_harness(family, seed):
+    """The harness of one seeded scenario whose oracle held."""
+    harness, verdict = _run(family, seed)
+    assert verdict.ok, verdict.violations
+    return harness
+
+
 @pytest.fixture(scope="module")
 def verdicts():
-    """The full default soak, run once for every test that reads it."""
-    return run_soak()
+    """The full default soak, in ``run_soak()`` order, from the cache."""
+    return [_run(family, seed)[1] for family in FAMILIES for seed in SEEDS]
 
 
 class TestFamilyTable:
@@ -81,6 +105,12 @@ class TestSoak:
         assert any(v.stale_probes > 0 for v in by_family["byzantine"])
         assert any(v.network["lost"] > 0 for v in by_family["message-storm"])
 
+    def test_run_soak_matches_the_cached_runs(self):
+        """``run_soak()`` itself, on one family and seed, yields the
+        verdict the cached harness run produced."""
+        (verdict,) = run_soak(families=("byzantine",), seeds_per_family=1)
+        assert verdict.as_dict() == _run("byzantine", 0)[1].as_dict()
+
 
 class TestRotationFamilies:
     """The three rotation families exercise what they claim to.
@@ -91,17 +121,9 @@ class TestRotationFamilies:
     never rejected would pass the oracle vacuously.
     """
 
-    SEEDS = range(5)
-
-    def _run(self, family, seed):
-        harness = ChaosHarness(build_scenario(family, seed))
-        verdict = harness.run()
-        assert verdict.ok, verdict.violations
-        return harness
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rotation_crash_fires_and_replays(self, seed):
-        harness = self._run("rotation-crash", seed)
+        harness = _checked_harness("rotation-crash", seed)
         heads = {event[:2] for event in harness.trace}
         # The injected crash interrupted the coordinator mid-WAL...
         assert ("rotate", "crashed") in heads
@@ -111,7 +133,7 @@ class TestRotationFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stale_replica_degrades_then_retires(self, seed):
-        harness = self._run("rotation-stale-replica", seed)
+        harness = _checked_harness("rotation-stale-replica", seed)
         probes = [
             event[1] for event in harness.trace if event[0] == "probe_recover"
         ]
@@ -125,7 +147,7 @@ class TestRotationFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_byzantine_replay_is_rejected(self, seed):
-        harness = self._run("rotation-byzantine-replay", seed)
+        harness = _checked_harness("rotation-byzantine-replay", seed)
         assert harness.cluster.retired_rejections > 0
         assert any(event[0] == "check_replay" for event in harness.trace)
 
@@ -140,17 +162,9 @@ class TestAttestationFamilies:
     vacuously.
     """
 
-    SEEDS = range(5)
-
-    def _run(self, family, seed):
-        harness = ChaosHarness(build_scenario(family, seed))
-        verdict = harness.run()
-        assert verdict.ok, verdict.violations
-        return harness
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_forged_joins_rejected_at_every_gate(self, seed):
-        harness = self._run("attest-forged-join", seed)
+        harness = _checked_harness("attest-forged-join", seed)
         heads = {event[0] for event in harness.trace}
         assert "intrude" in heads and "intrude_catchup" in heads
         assert "check_intruder" in heads
@@ -170,7 +184,7 @@ class TestAttestationFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_outage_rejoin_degrades_but_never_admits(self, seed):
-        harness = self._run("attest-outage-restart", seed)
+        harness = _checked_harness("attest-outage-restart", seed)
         heads = {event[0] for event in harness.trace}
         assert "attest_outage" in heads and "attest_restore" in heads
         assert "check_outage" in heads
@@ -187,7 +201,7 @@ class TestAttestationFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_revoked_platform_evicted_mid_traffic(self, seed):
-        harness = self._run("attest-revoked-tcb", seed)
+        harness = _checked_harness("attest-revoked-tcb", seed)
         checks = [e for e in harness.trace if e[0] == "check_revoked"]
         assert checks
         victim = harness.cluster.nodes[checks[0][1]]
@@ -208,19 +222,9 @@ class TestShardFamilies:
     vacuously.
     """
 
-    SEEDS = range(5)
-
-    def _run(self, family, seed):
-        from repro.faults.chaos_shard import ShardChaosHarness
-
-        harness = ShardChaosHarness(build_scenario(family, seed))
-        verdict = harness.run()
-        assert verdict.ok, verdict.violations
-        return harness
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_split_crash_fires_and_replays(self, seed):
-        harness = self._run("shard-split-crash", seed)
+        harness = _checked_harness("shard-split-crash", seed)
         heads = {event[:2] for event in harness.trace}
         # The injected crash interrupted the rebalance mid-WAL...
         assert ("split", "crashed") in heads
@@ -239,7 +243,7 @@ class TestShardFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_merge_stale_fails_closed_then_recovers(self, seed):
-        harness = self._run("shard-merge-stale", seed)
+        harness = _checked_harness("shard-merge-stale", seed)
         heads = {event[:2] for event in harness.trace}
         # The stranded source made the merge abort fail-closed...
         assert ("merge", "failclosed") in heads
@@ -251,7 +255,7 @@ class TestShardFamilies:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_byzantine_old_owner_is_dropped_and_counted(self, seed):
-        harness = self._run("shard-rebalance-byzantine", seed)
+        harness = _checked_harness("shard-rebalance-byzantine", seed)
         # The stale ownership claim was dropped from the merged verdict
         # and the replayed transfers were refused as duplicates.
         assert harness.plane.stale_owner_drops > 0
@@ -268,7 +272,7 @@ class TestShardFamilies:
 class TestDeterminism:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_same_seed_same_trace_digest(self, family):
-        first = run_scenario(family, seed=0)
+        first = _run(family, 0)[1]
         again = run_scenario(family, seed=0)
         assert first.trace_digest == again.trace_digest
         assert first.as_dict() == again.as_dict()

@@ -7,6 +7,7 @@ the ``make_frontend`` factory, which builds the one front-end pump.
 """
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.lthreads import TaskState
 from repro.servers import (
     AUDIT_FLUSH_OCALL,
     EventLoop,
+    EventLoopStats,
     ReadWait,
     ServerMachine,
 )
@@ -262,7 +264,9 @@ class TestEventLoopScheduling:
         assert loop.scheduler.cancellations == 1
         assert loop.loop_stats.reaped_tasks == 1
         assert loop.scheduler.busy_count() == busy_before - 1
-        assert cid in loop.loop_stats.per_conn_steps
+        loop.close(cid)  # reaping is once per connection
+        assert loop.scheduler.cancellations == 1
+        assert loop.loop_stats.reaped_tasks == 1
 
     def test_tick_reaps_expired_connection_tasks(self):
         clock = SimClock()
@@ -314,17 +318,34 @@ class TestEventLoopScheduling:
         assert loop.feed(cid, _request("/a")).served == 1
         assert flushes == []  # no async runtime -> no flush ocalls
 
-    def test_adopts_established_supervisor(self):
-        """An EventLoop wrapped around a live supervisor re-spawns driver
-        tasks for every existing connection (the fuzz deepcopy path)."""
-        first = EventLoop(_echo_handler)
-        cid = first.open()
-        first.feed(cid, _request("/before"))
-        loop = EventLoop(supervisor=copy.deepcopy(first.supervisor))
-        assert cid in loop._tasks
-        result = loop.feed(cid, _request("/after"))
+    def test_deepcopy_serves_established_tls_connection(self):
+        """A deep copy of a loop holding an established native-TLS
+        connection re-spawns its driver and serves the sealed request;
+        the original loop's connections and stats do not move."""
+        ca, ctx = _server_ctx(native_api, "elcopy", "elcopy")
+        loop = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
+        cid, cssl, _, wb = _tls_connect(ca, loop)
+        native_api.SSL_write(cssl, _request("/copied"))
+        sealed = wb.read()
+        stats_before = dataclasses.asdict(loop.stats)
+        loop_stats_before = dataclasses.asdict(loop.loop_stats)
+        conn = loop.connection(cid)
+
+        clone = copy.deepcopy(loop, {id(native_api): native_api})
+        assert cid in clone._tasks and clone.connection(cid) is not conn
+        assert clone.loop_stats == EventLoopStats()
+        result = clone.feed(cid, sealed)
         assert result.served == 1
-        assert loop.stats.requests_served == 2
+        assert clone.stats.requests_served == 1
+        assert clone.loop_stats.feeds == 1
+
+        assert dataclasses.asdict(loop.stats) == stats_before
+        assert dataclasses.asdict(loop.loop_stats) == loop_stats_before
+        assert loop.connections == {cid: conn}
+        assert conn.requests_served == 0
+        # The original's TLS state did not advance with the copy's: the
+        # same sealed record is still the next one it expects.
+        assert loop.feed(cid, sealed).served == 1
 
     def test_peak_concurrent_tracks_highwater(self):
         loop = EventLoop(_echo_handler)

@@ -2,8 +2,8 @@
 
 One hostile connection may at worst abort itself; its neighbours and the
 audit log's consistent prefix must be untouched. Every scenario runs
-through the one front-end pump, :class:`~repro.servers.EventLoop`, over
-its :class:`~repro.servers.connection.ConnectionSupervisor` registry.
+through the one front-end object, :class:`~repro.servers.EventLoop`,
+which owns the live connections and pumps them.
 """
 
 import pytest
